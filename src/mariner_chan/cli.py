@@ -251,12 +251,12 @@ def _run_pathloss_eval(resolved: dict) -> None:
 
 def _run_pathloss_fit(resolved: dict) -> None:
     d, pl = _read_csv_columns(resolved["input"], ["d_m", "pl_db"])
-    samples = [PathLossSample(di, pli) for di, pli in zip(d, pl)]
     geom = _geometry_from(resolved["geometry"])
     sea = _sea_from(resolved["sea"])
     model = resolved["model"]
     d0 = resolved.get("d0", 1.0)
     try:
+        samples = [PathLossSample(di, pli) for di, pli in zip(d, pl)]
         if model == "ci":
             report = fit_ci(samples, geom.f_c, d0)
             params = {"n": report.params.n, "d0": report.params.d0}
@@ -284,17 +284,20 @@ def _run_swift_sim(resolved: dict) -> None:
     sea_block = resolved["sea"]
     sea = _sea_from(sea_block)
     seed = resolved["seed"]
-    sea_cfg = WaveSpectrumConfig(
-        v_w=sea_block["v_w"], n_harmonics=sea_block["n_harmonics"],
-        omega_lo=sea_block["omega_lo"], omega_hi=sea_block["omega_hi"], seed=seed)
     mo = resolved["motion"]
-    motion = MotionConfig.with_random_phases(
-        math.radians(mo["amp_roll_deg"]), math.radians(mo["amp_pitch_deg"]),
-        math.radians(mo["amp_yaw_deg"]),
-        mo["rate_roll"], mo["rate_pitch"], mo["rate_yaw"], seed=seed)
-    series = simulate_swift(geom, sea_cfg, motion, AntennaPattern(),
-                            duration=resolved["duration"], dt=resolved["dt"],
-                            seed=seed, sea=sea)
+    try:
+        sea_cfg = WaveSpectrumConfig(
+            v_w=sea_block["v_w"], n_harmonics=sea_block["n_harmonics"],
+            omega_lo=sea_block["omega_lo"], omega_hi=sea_block["omega_hi"], seed=seed)
+        motion = MotionConfig.with_random_phases(
+            math.radians(mo["amp_roll_deg"]), math.radians(mo["amp_pitch_deg"]),
+            math.radians(mo["amp_yaw_deg"]),
+            mo["rate_roll"], mo["rate_pitch"], mo["rate_yaw"], seed=seed)
+        series = simulate_swift(geom, sea_cfg, motion, AntennaPattern(),
+                                duration=resolved["duration"], dt=resolved["dt"],
+                                seed=seed, sea=sea)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     out = _outdir(resolved)
     _write_csv(out / "swift.csv", ["t_s", "fading_db"],
                zip(series.t.tolist(), series.fading_db.tolist()))
@@ -321,7 +324,10 @@ def _run_smallscale_fit(resolved: dict) -> None:
 
 def _run_smallscale_sample(resolved: dict) -> None:
     model = _fading_model(resolved["family"], resolved["params"])
-    draws = sample_fading(model, resolved["n"], resolved["seed"])
+    try:
+        draws = sample_fading(model, resolved["n"], resolved["seed"])
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     out = _outdir(resolved)
     _write_csv(out / "envelope.csv", ["amplitude"], ((float(v),) for v in draws))
 
@@ -410,18 +416,18 @@ def _run_temporal(resolved: dict) -> None:
 
 
 def _run_sounder_sim(resolved: dict) -> None:
+    delta_tau = resolved["delta_tau_ns"] * 1e-9
     try:
         cfg = ZcConfig(length=resolved["length"], root=resolved["root"])
+        pdp = synth_exp_pdp(gamma=resolved["gamma_ns"] * 1e-9, delta_tau=delta_tau,
+                            n_taps=resolved["n_taps"])
+        rng = np.random.default_rng(resolved["seed"])
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=pdp.n_mpc)
+        taps = np.sqrt(pdp.powers) * np.exp(1j * phases)
+        rx = simulate_link(Cir(taps=taps, delta_tau=delta_tau), cfg,
+                           snr_db=resolved["snr_db"], seed=resolved["seed"] + 1)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    delta_tau = resolved["delta_tau_ns"] * 1e-9
-    pdp = synth_exp_pdp(gamma=resolved["gamma_ns"] * 1e-9, delta_tau=delta_tau,
-                        n_taps=resolved["n_taps"])
-    rng = np.random.default_rng(resolved["seed"])
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=pdp.n_mpc)
-    taps = np.sqrt(pdp.powers) * np.exp(1j * phases)
-    rx = simulate_link(Cir(taps=taps, delta_tau=delta_tau), cfg,
-                       snr_db=resolved["snr_db"], seed=resolved["seed"] + 1)
     out = _outdir(resolved)
     save_iq(out / "rx.iq", rx)
     _write_csv(out / "true_pdp.csv", ["delay_ns", "power_linear"],

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, stats
-from scipy.special import gammainc, i0e, logsumexp
+from scipy.special import i0e
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ class Twdp:
         return _amplitude_support(x, self._pdf_positive)
 
     def _pdf_positive(self, u: np.ndarray) -> np.ndarray:
-        return _twdp_pdf(u, self.k, self.delta, self.sigma)
+        return np.exp(_twdp_logpdf(u, self.k, self.delta, self.sigma))
 
     def cdf(self, x):
         return _amplitude_support(x, self._cdf_positive, cdf=True)
@@ -159,7 +159,7 @@ class Laplace:
         return out if out.ndim else float(out)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.laplace(self.mu, self.b, size=n)
+        return _positive_draws(lambda size: rng.laplace(self.mu, self.b, size=size), n)
 
     def loglik(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -196,14 +196,34 @@ class AsymLaplace:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         w1 = self.b1 / (self.b1 + self.b2)
-        left = rng.random(n) < w1
-        draws = np.where(left,
-                         self.mu - rng.exponential(self.b1, size=n),
-                         self.mu + rng.exponential(self.b2, size=n))
-        return draws
+
+        def draw(size: int) -> np.ndarray:
+            left = rng.random(size) < w1
+            return np.where(left,
+                            self.mu - rng.exponential(self.b1, size=size),
+                            self.mu + rng.exponential(self.b2, size=size))
+        return _positive_draws(draw, n)
 
     def loglik(self, x: np.ndarray) -> float:
         return float(np.sum(np.log(self.pdf(np.asarray(x, dtype=float)))))
+
+
+_MAX_REDRAWS = 100
+
+
+def _positive_draws(draw, n: int) -> np.ndarray:
+    """n draws of ``draw(size)`` in which every non-positive value is drawn
+    again from the same generator: an amplitude is positive, while the
+    Laplace families put mass on x <= 0.  Draws that are all positive come
+    back unchanged.
+    """
+    x = draw(n)
+    for _ in range(_MAX_REDRAWS):
+        bad = x <= 0
+        if not np.any(bad):
+            return x
+        x[bad] = draw(int(np.sum(bad)))
+    raise ValueError("the model puts too much mass on x <= 0 to draw positive amplitudes")
 
 
 FadingModel = Rician | Twdp | Nakagami | Lognormal | Laplace | AsymLaplace
@@ -225,6 +245,10 @@ def _amplitude_support(x, fn, cdf: bool = False):
 # TWDP density via quadrature
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre node counts the TWDP quadrature chooses from
+_TWDP_ORDERS = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
+_CDF_BLOCK = 1 << 18  # grid cells per ncx2.cdf call in _twdp_cdf, which bounds its memory
+
 _QUAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -236,6 +260,23 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _QUAD_CACHE[order]
 
 
+def _twdp_order(k: float, delta: float) -> int:
+    """Gauss-Legendre node count for the TWDP phase integral at (K, Delta):
+    the smallest of _TWDP_ORDERS that is >= 8 + 6*sqrt(K*Delta).
+
+    The integrand peaks more sharply in the phase as K*Delta grows.  Against
+    a 2048-node reference, at unit mean-square envelope and amplitudes up to
+    3, this count keeps the absolute pdf error <= 1e-9 and the CDF error
+    <= 1e-12 for K <= 1e4 and Delta in [0, 1] (tests/test_smallscale.py
+    pins the table).  At another RMS envelope the pdf error scales as 1/RMS
+    and the CDF error is unchanged.
+    Above K*Delta ~ 2.87e4 the count stays at 1024 and the bound is not
+    verified.
+    """
+    need = 8.0 + 6.0 * math.sqrt(k * delta)
+    return next((n for n in _TWDP_ORDERS if n >= need), _TWDP_ORDERS[-1])
+
+
 def _twdp_logpdf_order(u: np.ndarray, k: float, delta: float, sigma: float,
                        order: int) -> np.ndarray:
     """Log density at fixed quadrature order, evaluated stably in log domain."""
@@ -245,29 +286,17 @@ def _twdp_logpdf_order(u: np.ndarray, k: float, delta: float, sigma: float,
     # Bessel argument per quadrature node and sample
     z = (u[:, None] / sigma) * np.sqrt(2.0 * k * (1.0 - delta * cosx)[None, :])
     log_integrand = k * delta * cosx[None, :] + z + np.log(i0e(z))
-    log_integral = logsumexp(log_integrand, b=weights[None, :], axis=1)
+    # log-sum-exp against the weights, shifted by each row's maximum
+    shift = np.max(log_integrand, axis=1)
+    log_integral = shift + np.log(np.exp(log_integrand - shift[:, None]) @ weights)
     with np.errstate(divide="ignore"):
         prefactor = (np.log(u) - math.log(math.pi * sigma**2)
                      - u**2 / (2.0 * sigma**2) - k)
     return prefactor + log_integral
 
 
-def _twdp_logpdf(u: np.ndarray, k: float, delta: float, sigma: float,
-                 tol: float = 1e-9, max_order: int = 1024) -> np.ndarray:
-    """Adaptive quadrature: double the order until estimates stabilize."""
-    order = 64
-    prev = _twdp_logpdf_order(u, k, delta, sigma, order)
-    while order < max_order:
-        order *= 2
-        cur = _twdp_logpdf_order(u, k, delta, sigma, order)
-        if np.allclose(np.exp(prev), np.exp(cur), rtol=0.0, atol=tol):
-            return cur
-        prev = cur
-    return prev
-
-
-def _twdp_pdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray:
-    return np.exp(_twdp_logpdf(u, k, delta, sigma))
+def _twdp_logpdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray:
+    return _twdp_logpdf_order(u, k, delta, sigma, _twdp_order(k, delta))
 
 
 def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray:
@@ -275,12 +304,20 @@ def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray
     the envelope is Rician with specular power 2*sigma^2*K*(1 - Delta*cos(x)),
     mixed uniformly over [0, pi]; each conditional CDF is evaluated through
     the noncentral chi-square ((U/sigma)^2 ~ ncx2(2, s^2/sigma^2)).
+
+    The phase integral uses _twdp_order(K, Delta) Gauss-Legendre nodes,
+    which keep the absolute CDF error <= 1e-12 against a 2048-node reference
+    for K <= 1e4.  The samples are taken in blocks of _CDF_BLOCK grid cells.
     """
-    nodes, weights = _gauss_legendre(256)
+    nodes, weights = _gauss_legendre(_twdp_order(k, delta))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     nc = 2.0 * k * (1.0 - delta * np.cos(nodes))
-    cond = stats.ncx2.cdf((u[:, None] / sigma) ** 2, 2, nc[None, :])
-    return cond @ weights / math.pi
+    x = (u / sigma) ** 2
+    rows = max(1, _CDF_BLOCK // nodes.size)
+    out = np.empty(u.shape)
+    for i in range(0, u.size, rows):
+        out[i:i + rows] = stats.ncx2.cdf(x[i:i + rows, None], 2, nc[None, :]) @ weights
+    return out / math.pi
 
 
 def params_from_voltages(v1: float, v2: float, sigma: float) -> tuple[float, float]:
@@ -339,9 +376,14 @@ class FitReport:
     loglik: float
     converged: bool = True
     notes: list[str] = field(default_factory=list)
+    n_evals: int = 0                # objective evaluations made by the optimizer
+    quad_nodes: int | None = None   # TWDP: Gauss-Legendre nodes at the fitted model
 
     def to_dict(self) -> dict:
         params = {k: v for k, v in vars(self.model).items()}
+        diagnostics = {"objective_evals": self.n_evals}
+        if self.quad_nodes is not None:
+            diagnostics["quad_nodes"] = self.quad_nodes
         return {
             "family": type(self.model).__name__,
             "params": params,
@@ -350,6 +392,7 @@ class FitReport:
             "loglik": self.loglik,
             "converged": self.converged,
             "notes": self.notes,
+            "diagnostics": diagnostics,
         }
 
 
@@ -414,7 +457,7 @@ def _asym_laplace_scales(x: np.ndarray, mu: float) -> tuple[float, float]:
     return b1, b2
 
 
-def _fit_asym_laplace(x: np.ndarray) -> AsymLaplace:
+def _fit_asym_laplace(x: np.ndarray) -> tuple[AsymLaplace, int]:
     # the profile log-likelihood in mu is maximized where sqrt(s_l)+sqrt(s_r)
     # is minimal; that objective is piecewise smooth with its optimum at or
     # between sample points
@@ -427,44 +470,63 @@ def _fit_asym_laplace(x: np.ndarray) -> AsymLaplace:
                                    method="bounded", options={"xatol": 1e-10})
     mu = float(res.x)
     b1, b2 = _asym_laplace_scales(x, mu)
-    return AsymLaplace(mu=mu, b1=b1, b2=b2)
+    return AsymLaplace(mu=mu, b1=b1, b2=b2), int(res.nfev)
 
 
-def _fit_rician(x: np.ndarray) -> tuple[Rician, bool]:
+def _counting_fmin(counts: list[int]):
+    """scipy's default fit optimizer, optimize.fmin, that appends its
+    objective-evaluation count to ``counts``."""
+    def fmin(func, x0, args=(), disp=0):
+        xopt, _, _, n_evals, _ = optimize.fmin(func, x0, args=args, disp=disp,
+                                               full_output=True)
+        counts.append(n_evals)
+        return xopt
+    return fmin
+
+
+def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
     # moment initialization, then scipy's MLE with the location pinned at 0
     mean2 = float(np.mean(x)) ** 2
     msq = float(np.mean(x**2))
     k0 = max(mean2 / max(msq - mean2, 1e-12) - 1.0, 0.1)
     sigma0 = math.sqrt(msq / (2.0 * (1.0 + k0)))
     s0 = math.sqrt(max(msq - 2.0 * sigma0**2, 1e-12))
+    counts: list[int] = []
     try:
-        b, loc, scale = stats.rice.fit(x, s0 / sigma0, floc=0, scale=sigma0)
-        return Rician(s=float(b * scale), sigma=float(scale)), True
+        b, loc, scale = stats.rice.fit(x, s0 / sigma0, floc=0, scale=sigma0,
+                                       optimizer=_counting_fmin(counts))
+        return Rician(s=float(b * scale), sigma=float(scale)), True, sum(counts)
     except Exception:
-        return Rician(s=s0, sigma=sigma0), False
+        return Rician(s=s0, sigma=sigma0), False, sum(counts)
 
 
-def _fit_nakagami(x: np.ndarray) -> tuple[Nakagami, bool]:
+def _fit_nakagami(x: np.ndarray) -> tuple[Nakagami, bool, int]:
     x2 = x**2
     omega0 = float(np.mean(x2))
     var2 = float(np.var(x2))
     mu0 = max(omega0**2 / max(var2, 1e-12), 0.5)
+    counts: list[int] = []
     try:
-        nu, loc, scale = stats.nakagami.fit(x, mu0, floc=0, scale=math.sqrt(omega0))
-        return Nakagami(mu=max(float(nu), 0.5), omega=float(scale**2)), True
+        nu, loc, scale = stats.nakagami.fit(x, mu0, floc=0, scale=math.sqrt(omega0),
+                                            optimizer=_counting_fmin(counts))
+        return Nakagami(mu=max(float(nu), 0.5), omega=float(scale**2)), True, sum(counts)
     except Exception:
-        return Nakagami(mu=mu0, omega=omega0), False
+        return Nakagami(mu=mu0, omega=omega0), False, sum(counts)
 
 
-def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool]:
-    """Bounded multi-start search over (K, Delta, sigma).
+def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool, int]:
+    """Bounded multi-start search over (K, Delta, sigma); returns the model,
+    the polish's convergence flag and the number of objective evaluations.
 
-    The likelihood is multi-modal in (K, Delta), so a coarse multi-start
-    locates the basin before a simplex refinement polishes the optimum.  Large
-    sample sets are compressed into a fine weighted histogram first; with
-    thousands of bins the binned likelihood is indistinguishable from the
-    exact one at the fitting tolerances while costing orders of magnitude
-    less per evaluation.
+    The likelihood is multi-modal in (K, Delta), so each of 12 grid starts
+    is scored with one evaluation, a coarse simplex search runs from the best
+    two, and a finer one polishes the better result.  Every evaluation takes
+    _twdp_order(K, Delta) Gauss-Legendre nodes, at most 768 under the K <= 1e4
+    cap, which keeps the absolute pdf error <= 1e-9 at unit mean-square
+    envelope (see _twdp_order).  Large sample sets are compressed into a
+    fine weighted histogram first; with thousands of bins the binned
+    likelihood is indistinguishable from the exact one at the fitting
+    tolerances while costing orders of magnitude less per evaluation.
     """
     msq = float(np.mean(x**2))
     if x.size > 4096:
@@ -474,24 +536,28 @@ def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool]:
         weights = counts[keep].astype(float)
     else:
         data, weights = x, np.ones(x.size)
+    n_evals = 0
 
     def negloglik(params: np.ndarray) -> float:
+        nonlocal n_evals
+        n_evals += 1
         log_k, delta, log_sigma = params
         k = math.exp(log_k)
         if not (0.0 <= delta <= 1.0) or k > 1e4:
             return math.inf
         sigma = math.exp(log_sigma)
-        return -float(weights @ _twdp_logpdf_order(data, k, delta, sigma, 64))
+        return -float(weights @ _twdp_logpdf(data, k, delta, sigma))
 
     starts = []
     for k0 in (1.0, 10.0, 100.0, 1000.0):
         sigma0 = math.sqrt(msq / (2.0 * (1.0 + k0)))
         for delta0 in (0.0, 0.5, 1.0):
-            starts.append((math.log(k0), delta0, math.log(sigma0)))
+            starts.append(np.array((math.log(k0), delta0, math.log(sigma0))))
+    starts.sort(key=negloglik)
 
     best, best_val = None, math.inf
-    for start in starts:
-        res = optimize.minimize(negloglik, np.array(start), method="Nelder-Mead",
+    for start in starts[:2]:
+        res = optimize.minimize(negloglik, start, method="Nelder-Mead",
                                 options={"xatol": 1e-4, "fatol": 1e-4, "maxiter": 250})
         if res.fun < best_val:
             best, best_val = res.x, res.fun
@@ -501,7 +567,7 @@ def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool]:
     log_k, delta, log_sigma = res.x
     model = Twdp(k=math.exp(log_k), delta=float(np.clip(delta, 0.0, 1.0)),
                  sigma=math.exp(log_sigma))
-    return model, bool(res.success)
+    return model, bool(res.success), n_evals
 
 
 _FAMILY_TAGS = ("rician", "twdp", "nakagami", "lognormal", "laplace", "asym-laplace")
@@ -522,23 +588,25 @@ def fit_mle(family: str, data: EnvelopeSamples, min_samples: int = 30) -> FitRep
     if float(np.std(x)) == 0.0:
         raise ValueError("degenerate constant data: zero variance")
 
-    converged = True
+    converged, n_evals = True, 0
     if family == "lognormal":
         model = _fit_lognormal(x)
     elif family == "laplace":
         model = _fit_laplace(x)
     elif family == "asym-laplace":
-        model = _fit_asym_laplace(x)
+        model, n_evals = _fit_asym_laplace(x)
     elif family == "rician":
-        model, converged = _fit_rician(x)
+        model, converged, n_evals = _fit_rician(x)
     elif family == "nakagami":
-        model, converged = _fit_nakagami(x)
+        model, converged, n_evals = _fit_nakagami(x)
     else:
-        model, converged = _fit_twdp(x)
+        model, converged, n_evals = _fit_twdp(x)
 
     report = FitReport(model=model, ks=ks_statistic(data, model),
                        pdf_rmse=pdf_rmse(data, model), loglik=model.loglik(x),
-                       converged=converged)
+                       converged=converged, n_evals=n_evals,
+                       quad_nodes=(_twdp_order(model.k, model.delta)
+                                   if isinstance(model, Twdp) else None))
     if not converged:
         report.notes.append("optimizer did not report convergence; best-found parameters")
     return report

@@ -218,3 +218,46 @@ def test_worker_count_env(monkeypatch):
         worker_count()
     monkeypatch.delenv("MARINER_CHAN_THREADS")
     assert worker_count() >= 1
+
+
+def test_infinite_path_loss_is_validation_error(tmp_path):
+    src = tmp_path / "pl.csv"
+    src.write_text("d_m,pl_db\n1000,100.0\n2000,inf\n3000,110.0\n")
+    assert run("pathloss", "fit", "--model", "ci", "--input", str(src),
+               "--out", str(tmp_path / "fit")) == 2
+
+
+def test_swift_zero_dt_is_validation_error(tmp_path):
+    assert run("swift", "sim", "--duration", "5", "--dt", "0",
+               "--out", str(tmp_path / "swift")) == 2
+
+
+def test_sounder_zero_taps_is_validation_error(tmp_path):
+    assert run("sounder", "sim", "--length", "255", "--n-taps", "0",
+               "--out", str(tmp_path / "sim")) == 2
+
+
+def test_laplace_sample_then_fit(tmp_path):
+    # criterion 5's Laplace at a seed whose raw draws include a non-positive value
+    out = tmp_path / "samples"
+    assert run("smallscale", "sample", "--family", "laplace",
+               "--params", '{"mu": 1.011, "b": 0.065}', "-n", "100000",
+               "--seed", "41", "--out", str(out)) == 0
+    assert run("smallscale", "fit", "--family", "laplace",
+               "--input", str(out / "envelope.csv"), "--out", str(tmp_path / "fit")) == 0
+
+
+def test_fit_diagnostics_stay_out_of_the_manifest(tmp_path):
+    out = tmp_path / "samples"
+    assert run("smallscale", "sample", "--family", "twdp",
+               "--params", '{"k": 10.0, "delta": 0.7, "sigma": 0.1}', "-n", "200",
+               "--seed", "2", "--out", str(out)) == 0
+    fit_out = tmp_path / "fit"
+    assert run("smallscale", "fit", "--family", "twdp",
+               "--input", str(out / "envelope.csv"), "--out", str(fit_out)) == 0
+    report = json.loads((fit_out / "fit.json").read_text())
+    assert report["diagnostics"]["objective_evals"] > 0
+    assert report["diagnostics"]["quad_nodes"] >= 8
+    manifest = json.loads((fit_out / "manifest.json").read_text())
+    assert set(manifest) == {"command", "config", "config_sha256", "seed", "version"}
+    assert "diagnostics" not in manifest["config"]

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 from scipy.integrate import quad
 
+from mariner_chan import smallscale
 from mariner_chan.smallscale import (
     AsymLaplace,
     EnvelopeSamples,
@@ -175,3 +177,98 @@ def test_parameter_validation():
         voltages_from_params(1.0, 2.0, 0.1)
     with pytest.raises(ValueError):
         params_from_voltages(0.5, 1.0, 0.1)
+
+
+REFERENCE_NODES = 2048
+
+
+def _reference_cdf(u, k, delta, sigma):
+    nodes, weights = smallscale._gauss_legendre(REFERENCE_NODES)
+    nc = 2.0 * k * (1.0 - delta * np.cos(nodes))
+    return stats.ncx2.cdf((u[:, None] / sigma) ** 2, 2, nc[None, :]) @ weights / math.pi
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 0.9, 0.99, 1.0])
+@pytest.mark.parametrize("k", [0.0, 1.0, 10.0, 100.0, 1000.0, 1e4])
+def test_twdp_node_rule_error_bound(k, delta):
+    # unit mean-square envelope, amplitudes up to three times its RMS
+    sigma = 1.0 / math.sqrt(2.0 * (1.0 + k))
+    u = np.linspace(0.0, 3.0, 301)
+    model = Twdp(k=k, delta=delta, sigma=sigma)
+    ref_pdf = np.exp(smallscale._twdp_logpdf_order(u, k, delta, sigma, REFERENCE_NODES))
+    assert float(np.max(np.abs(model.pdf(u) - ref_pdf))) <= 1e-9
+    assert float(np.max(np.abs(model.cdf(u) - _reference_cdf(u, k, delta, sigma)))) <= 1e-12
+
+
+def test_twdp_node_rule_grows_with_k_delta():
+    assert smallscale._twdp_order(1e4, 0.0) == 8
+    assert smallscale._twdp_order(10.0, 0.7) == 24
+    orders = [smallscale._twdp_order(k, 1.0) for k in (0.0, 1.0, 10.0, 100.0, 1000.0, 1e4)]
+    assert orders == sorted(orders)
+
+
+def _reference_loglik(x, k, delta, sigma):
+    return float(np.sum(smallscale._twdp_logpdf_order(x, k, delta, sigma, REFERENCE_NODES)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_twdp_mle_not_worse_than_truth(seed):
+    truth = Twdp(k=10.0, delta=0.7, sigma=0.1)
+    x = sample(truth, 200, seed=seed)
+    data = EnvelopeSamples(x)
+    rep = fit_mle("twdp", data)
+    m = rep.model
+    fitted = _reference_loglik(data.values, m.k, m.delta, m.sigma)
+    generating = _reference_loglik(data.values, truth.k, truth.delta,
+                                   truth.sigma / float(np.mean(x)))
+    assert fitted >= generating - 1e-6 * x.size
+
+
+def test_fit_report_diagnostics():
+    x = sample(Twdp(k=10.0, delta=0.7, sigma=0.1), 200, seed=0)
+    rep = fit_mle("twdp", EnvelopeSamples(x))
+    diag = rep.to_dict()["diagnostics"]
+    assert diag["quad_nodes"] == smallscale._twdp_order(rep.model.k, rep.model.delta)
+    # twelve scored starts, then two coarse searches and a polish
+    assert diag["objective_evals"] == rep.n_evals
+    assert rep.n_evals > 12
+    for family, model in (("rician", Rician(s=0.994, sigma=0.081)),
+                          ("asym-laplace", AsymLaplace(mu=1.033, b1=0.045, b2=0.081)),
+                          ("lognormal", Lognormal(mu=-0.007, sigma=0.083))):
+        diag = fit_mle(family, EnvelopeSamples(sample(model, 2000, seed=1))).to_dict()[
+            "diagnostics"]
+        assert "quad_nodes" not in diag
+        assert (diag["objective_evals"] > 0) == (family != "lognormal")
+
+
+def test_laplace_samples_are_positive_amplitudes():
+    # criterion 5's Laplace draws a non-positive value at seed 41
+    model = Laplace(mu=1.011, b=0.065)
+    assert np.min(np.random.default_rng(41).laplace(1.011, 0.065, size=100_000)) <= 0
+    assert np.all(sample(model, 100_000, seed=41) > 0)
+    # seeds with no bad draw give the plain generator's samples
+    plain = np.random.default_rng(0).laplace(1.011, 0.065, size=100_000)
+    assert sample(model, 100_000, seed=0).tobytes() == plain.tobytes()
+    asym = AsymLaplace(mu=1.033, b1=0.045, b2=0.081)
+    rng = np.random.default_rng(0)
+    left = rng.random(100_000) < asym.b1 / (asym.b1 + asym.b2)
+    plain = np.where(left, asym.mu - rng.exponential(asym.b1, size=100_000),
+                     asym.mu + rng.exponential(asym.b2, size=100_000))
+    assert sample(asym, 100_000, seed=0).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize("model", [Laplace(mu=0.1, b=0.1),
+                                   AsymLaplace(mu=0.1, b1=0.1, b2=0.05)],
+                         ids=lambda m: type(m).__name__)
+def test_laplace_families_redraw_non_positive_values(model):
+    # about a sixth of the mass lies on x <= 0
+    x = sample(model, 10_000, seed=3)
+    assert x.size == 10_000 and np.all(x > 0)
+
+
+@pytest.mark.parametrize("model", [Laplace(mu=-5.0, b=0.1),
+                                   AsymLaplace(mu=-5.0, b1=0.1, b2=0.1)],
+                         ids=lambda m: type(m).__name__)
+def test_laplace_sampler_refuses_models_without_positive_mass(model):
+    with pytest.raises(ValueError, match="x <= 0"):
+        sample(model, 100, seed=0)
