@@ -55,12 +55,18 @@ class SparsityMetrics:
 
 def gini(p: PdpRecord) -> float:
     """Power-concentration index over ascending-sorted MPC powers."""
-    powers = np.sort(p.powers)
-    total = np.sum(powers)
-    n = powers.size
+    return float(gini_rows(p.powers))
+
+
+def gini_rows(powers: np.ndarray) -> np.ndarray:
+    """Gini index along the last axis of a power array, one row at a time
+    with the same pairwise sums, so a row equals ``gini`` of its profile."""
+    powers = np.sort(powers, axis=-1)
+    total = np.sum(powers, axis=-1, keepdims=True)
+    n = powers.shape[-1]
     ranks = np.arange(1, n + 1)
     weights = (n - ranks + 0.5) / n
-    return float(1.0 - 2.0 * np.sum(powers / total * weights))
+    return 1.0 - 2.0 * np.sum(powers / total * weights, axis=-1)
 
 
 def rician_k_from_pdp(p: PdpRecord) -> tuple[float, float]:
@@ -98,37 +104,51 @@ def split_equal(p: PdpRecord, m: int) -> PdpRecord:
     """Replace each MPC by m sub-components of equal power P_n/m; this leaves
     the Gini index unchanged.
     """
-    if m < 1:
-        raise ValueError(f"split factor must be >= 1, got {m}")
-    if m == 1:
-        return PdpRecord(p.delays.copy(), p.powers.copy(), p.noise_floor)
-    delays, powers = _sub_delays(p, m)
-    powers = np.repeat(p.powers / m, m)
-    return PdpRecord(delays=delays, powers=powers, noise_floor=p.noise_floor)
+    return _split(p, m, lambda: np.repeat(p.powers / m, m))
 
 
 def split_random(p: PdpRecord, m: int, seed: int | None = None) -> PdpRecord:
     """Replace each MPC by m sub-components with Dirichlet(1) random shares of
     its power; the Gini index can only grow relative to the equal split.
     """
+    return _split(p, m, lambda: _random_split_powers(p.powers, m, seed))
+
+
+def _random_split_powers(powers: np.ndarray, m: int, seed: int | None) -> np.ndarray:
+    shares = np.random.default_rng(seed).dirichlet(np.ones(m), size=powers.size)
+    return (shares * powers[:, None]).ravel()
+
+
+def _split(p: PdpRecord, m: int, sub_powers) -> PdpRecord:
+    """m sub-components per MPC, nested inside its delay bin, powers ``sub_powers()``."""
     if m < 1:
         raise ValueError(f"split factor must be >= 1, got {m}")
     if m == 1:
         return PdpRecord(p.delays.copy(), p.powers.copy(), p.noise_floor)
-    rng = np.random.default_rng(seed)
-    delays, _ = _sub_delays(p, m)
-    shares = rng.dirichlet(np.ones(m), size=p.n_mpc)
-    powers = (shares * p.powers[:, None]).ravel()
-    return PdpRecord(delays=delays, powers=powers, noise_floor=p.noise_floor)
-
-
-def _sub_delays(p: PdpRecord, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strictly increasing sub-delays nested inside each original bin."""
     gaps = np.diff(p.delays)
     widths = np.append(gaps, gaps[-1] if gaps.size else 1.0)
-    offsets = (np.arange(m) / m)[None, :] * widths[:, None]
-    delays = (p.delays[:, None] + offsets).ravel()
-    return delays, widths
+    delays = (p.delays[:, None] + (np.arange(m) / m)[None, :] * widths[:, None]).ravel()
+    return PdpRecord(delays=delays, powers=sub_powers(), noise_floor=p.noise_floor)
+
+
+def split_lemma_batch(n: np.ndarray, m: np.ndarray, powers: np.ndarray,
+                      split_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split lemmas for trial i on the first n[i] powers of row i, split m[i]
+    ways: the gap |G(split_equal) - G| and whether the random split seeded
+    with split_seeds[i] falls below the equal split by more than 1e-12.  The
+    values equal those of ``gini``, ``split_equal`` and ``split_random``.
+    """
+    gaps, violations = np.empty(n.size), np.zeros(n.size, dtype=bool)
+    for nk, mk in set(zip(n.tolist(), m.tolist())):
+        idx = np.flatnonzero((n == nk) & (m == mk))
+        p = powers[idx, :nk]
+        g_eq = gini_rows(np.repeat(p / mk, mk, axis=1))
+        gaps[idx] = np.abs(g_eq - gini_rows(p))
+        if mk > 1:  # a split into one share is the profile itself
+            g_rand = gini_rows(np.stack([_random_split_powers(row, mk, int(seed))
+                                         for row, seed in zip(p, split_seeds[idx])]))
+            violations[idx] = g_rand < g_eq - 1e-12
+    return gaps, violations
 
 
 def coarsen_pdp(fine: PdpRecord, bin_width: float) -> PdpRecord:

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from mariner_chan.cli import main, worker_count
+from mariner_chan.cli import _write_json, main, worker_count
+from mariner_chan.sparsity import PdpRecord, gini, split_equal, split_random
 
 
 def run(*argv):
@@ -207,6 +208,48 @@ def test_lemma_check_deterministic_across_worker_counts(tmp_path, monkeypatch):
                "--out", str(tmp_path / "b")) == 0
     assert ((tmp_path / "a" / "lemma_check.json").read_bytes()
             == (tmp_path / "b" / "lemma_check.json").read_bytes())
+
+
+def _lemma_report_reference(n_trials, seed, max_n=50, max_m=8):
+    """The lemma-check report as the CLI built it trial by trial."""
+    rng = np.random.default_rng(seed)
+    gaps, violations = [], 0
+    for _ in range(n_trials):
+        n, m = int(rng.integers(2, max_n + 1)), int(rng.integers(1, max_m + 1))
+        powers, split_seed = rng.exponential(1.0, size=max_n), int(rng.integers(0, 2**63))
+        pdp = PdpRecord(delays=np.arange(n) * 50e-9, powers=powers[:n])
+        g0 = gini(pdp)
+        g_eq = gini(split_equal(pdp, m))
+        g_rand = gini(split_random(pdp, m, seed=split_seed))
+        gaps.append(abs(g_eq - g0))
+        violations += g_rand < g_eq - 1e-12
+    return {"n_trials": n_trials, "max_equal_split_gap": max(gaps),
+            "random_split_violations": violations}
+
+
+@pytest.mark.parametrize("seed", [0, 4, 5])
+def test_lemma_check_matches_the_trial_loop_byte_for_byte(tmp_path, seed):
+    assert run("sparsity", "lemma-check", "--n-trials", "1000", "--seed", str(seed),
+               "--out", str(tmp_path)) == 0
+    reference = tmp_path / "reference.json"
+    _write_json(reference, _lemma_report_reference(1000, seed))
+    assert (tmp_path / "lemma_check.json").read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--n-trials", "0"], None),
+    (["--n-trials", "-3"], None),
+    (["--max-n", "1"], None),
+    (["--max-m", "0"], None),
+    ([], "bogus"),
+])
+def test_lemma_check_bad_input_is_validation_error(tmp_path, monkeypatch, capsys, argv, env):
+    if env is not None:
+        monkeypatch.setenv("MARINER_CHAN_THREADS", env)
+    assert run("sparsity", "lemma-check", "--n-trials", "10", *argv,
+               "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "lemma_check.json").exists()
 
 
 def test_worker_count_env(monkeypatch):

@@ -10,10 +10,12 @@ from mariner_chan.sparsity import (
     PdpRecord,
     coarsen_pdp,
     gini,
+    gini_rows,
     metrics,
     mpc_extract,
     rician_k_from_pdp,
     split_equal,
+    split_lemma_batch,
     split_random,
 )
 
@@ -116,3 +118,50 @@ def test_pdp_validation():
         split_equal(_pdp([1.0, 2.0]), 0)
     with pytest.raises(ValueError):
         coarsen_pdp(_pdp([1.0, 2.0]), bin_width=0.0)
+
+
+def _gini_reference(powers):
+    """The Gini index as computed one profile at a time."""
+    powers = np.sort(powers)
+    total = np.sum(powers)
+    n = powers.size
+    weights = (n - np.arange(1, n + 1) + 0.5) / n
+    return float(1.0 - 2.0 * np.sum(powers / total * weights))
+
+
+def test_gini_rows_matches_gini_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 7, 8, 9, 50, 127, 128, 129, 400):
+        rows = rng.exponential(1.0, size=(20, n))
+        rows[0, : n // 2] = 0.0
+        expected = [_gini_reference(row) for row in rows]
+        assert [gini(_pdp(row)) for row in rows] == expected
+        assert gini_rows(rows).tolist() == expected
+
+
+def _lemma_trial_reference(n, m, powers, split_seed):
+    """One split-lemma trial as the CLI ran it trial by trial: three
+    ``PdpRecord``s and three ``gini`` calls.
+    """
+    pdp = PdpRecord(delays=np.arange(n) * 50e-9, powers=powers[:n])
+    g0 = gini(pdp)
+    g_eq = gini(split_equal(pdp, m))
+    g_rand = gini(split_random(pdp, m, seed=split_seed))
+    return abs(g_eq - g0), g_rand < g_eq - 1e-12
+
+
+def test_split_lemma_batch_matches_the_trial_loop_in_every_cell():
+    max_n, max_m = 50, 8
+    rng = np.random.default_rng(11)
+    # every (n, m) cell twice, n = 2 and n = max_n and m = 1 included, shuffled
+    n, m = np.meshgrid(np.arange(2, max_n + 1), np.arange(1, max_m + 1))
+    n, m = np.tile(n.ravel(), 2), np.tile(m.ravel(), 2)
+    order = rng.permutation(n.size)
+    n, m = n[order], m[order]
+    powers = rng.exponential(1.0, size=(n.size, max_n))
+    seeds = rng.integers(0, 2**63, size=n.size)
+    gaps, violations = split_lemma_batch(n, m, powers, seeds)
+    expected = [_lemma_trial_reference(int(a), int(b), row, int(s))
+                for a, b, row, s in zip(n, m, powers, seeds)]
+    assert gaps.tolist() == [gap for gap, _ in expected]
+    assert violations.tolist() == [bad for _, bad in expected]
