@@ -6,6 +6,11 @@ directory, and records a ``manifest.json`` with the resolved configuration,
 seed, config hash, and toolkit version.  ``mariner-chan replay manifest.json``
 re-executes a recorded run and reproduces byte-identical outputs.
 
+``_COMMANDS`` is the one place a command is defined; the argument parser,
+the configuration resolution and replay's manifest check are built from it.
+Exit codes: 0 success; 2 invalid input (``ValidationError``, the library's
+``ValueError`` checks, ``FileNotFoundError``); 1 any other failure.
+
 CSV schemas (headers mandatory, full round-trip decimal precision):
   pathloss:  d_m,pl_db
   pdp:       delay_ns,power_linear
@@ -22,7 +27,9 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -82,16 +89,12 @@ def worker_count() -> int:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_json(path: Path, obj) -> None:
@@ -108,8 +111,6 @@ def _read_csv_columns(path: str, columns: list[str]) -> list[np.ndarray]:
             if missing:
                 raise ValidationError(f"{path}: missing CSV columns {missing}")
             rows = [[float(r[c]) for c in columns] for r in reader]
-    except FileNotFoundError as exc:
-        raise ValidationError(f"input file not found: {path}") from exc
     except ValueError as exc:
         raise ValidationError(f"{path}: non-numeric CSV value ({exc})") from exc
     if not rows:
@@ -118,16 +119,15 @@ def _read_csv_columns(path: str, columns: list[str]) -> list[np.ndarray]:
     return [arr[:, i] for i in range(len(columns))]
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ValidationError(f"config file not found: {path}") from exc
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path} is not a JSON object")
+    return obj
 
 
 _GEOMETRY_DEFAULTS = {"f_c": 5.8e9, "h_t": 25.0, "h_r": 4.0, "d": 3000.0,
@@ -137,11 +137,19 @@ _SEA_DEFAULTS = {"v_w": 7.7, "gamma_refl_real": -1.0, "gamma_refl_imag": 0.0,
 _MOTION_DEFAULTS = {"amp_roll_deg": 5.0, "amp_pitch_deg": 5.0, "amp_yaw_deg": 2.0,
                     "rate_roll": 1.1, "rate_pitch": 1.1, "rate_yaw": 0.6}
 
+# config block: (defaults, the keys a float flag of the same name overrides)
+_BLOCKS = {
+    "geometry": (_GEOMETRY_DEFAULTS, tuple(_GEOMETRY_DEFAULTS)),
+    "sea": (_SEA_DEFAULTS, ("v_w",)),
+    "motion": (_MOTION_DEFAULTS, ()),
+}
 
-def _resolve_block(config: dict, block: str, defaults: dict, overrides: dict) -> dict:
+
+def _resolve_block(config: dict, block: str, args) -> dict:
+    defaults, flag_keys = _BLOCKS[block]
     resolved = dict(defaults)
     resolved.update(config.get(block, {}))
-    resolved.update({k: v for k, v in overrides.items() if v is not None})
+    resolved.update({k: getattr(args, k) for k in flag_keys if getattr(args, k) is not None})
     unknown = set(resolved) - set(defaults)
     if unknown:
         raise ValidationError(f"unknown keys in config block {block!r}: {sorted(unknown)}")
@@ -178,6 +186,16 @@ def _fading_model(family: str, params: dict) -> FadingModel:
         return cls(**params)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid {family} parameters {params}: {exc}") from exc
+
+
+def _parse_params(text: str) -> dict:
+    try:
+        params = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"--params must be a JSON object: {exc}") from exc
+    if not isinstance(params, dict):
+        raise ValidationError("--params must be a JSON object")
+    return params
 
 
 def _write_manifest(outdir: Path, command: str, resolved: dict) -> None:
@@ -218,7 +236,7 @@ def _pl_evaluator(resolved: dict):
     model = resolved["model"]
     geom = _geometry_from(resolved["geometry"])
     sea = _sea_from(resolved["sea"])
-    p = resolved.get("params", {})
+    p = resolved["params"]
     d_break = p.get("d_break") or break_distance(geom)
     if model == "fspl":
         return lambda d: fspl(geom.f_c, d)
@@ -253,25 +271,18 @@ def _run_pathloss_fit(resolved: dict) -> None:
     d, pl = _read_csv_columns(resolved["input"], ["d_m", "pl_db"])
     geom = _geometry_from(resolved["geometry"])
     sea = _sea_from(resolved["sea"])
-    model = resolved["model"]
-    d0 = resolved.get("d0", 1.0)
-    try:
-        samples = [PathLossSample(di, pli) for di, pli in zip(d, pl)]
-        if model == "ci":
-            report = fit_ci(samples, geom.f_c, d0)
-            params = {"n": report.params.n, "d0": report.params.d0}
-        elif model == "dual-ci":
-            report = fit_dual_ci(samples, geom.f_c, break_distance(geom), d0)
-            params = {"n1": report.params.n1, "n2": report.params.n2,
-                      "d_break_m": report.params.d_break}
-        elif model == "dual-ci-mtr":
-            report = fit_dual_ci_mtr(samples, geom, sea)
-            params = {"n1": report.params.n1, "n2": report.params.n2,
-                      "d_break_m": report.params.d_break}
-        else:
-            raise ValidationError(f"model {model!r} is not fittable; use ci, dual-ci, dual-ci-mtr")
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    model, d0 = resolved["model"], resolved["d0"]
+    samples = [PathLossSample(di, pli) for di, pli in zip(d, pl)]
+    if model == "ci":
+        report = fit_ci(samples, geom.f_c, d0)
+        params = {"n": report.params.n, "d0": report.params.d0}
+    elif model in ("dual-ci", "dual-ci-mtr"):
+        report = (fit_dual_ci(samples, geom.f_c, break_distance(geom), d0) if model == "dual-ci"
+                  else fit_dual_ci_mtr(samples, geom, sea))
+        params = {"n1": report.params.n1, "n2": report.params.n2,
+                  "d_break_m": report.params.d_break}
+    else:
+        raise ValidationError(f"model {model!r} is not fittable; use ci, dual-ci, dual-ci-mtr")
     out = _outdir(resolved)
     _write_json(out / "fit.json", {
         "model": model, "params": params, "rmse_db": report.rmse_db,
@@ -285,19 +296,16 @@ def _run_swift_sim(resolved: dict) -> None:
     sea = _sea_from(sea_block)
     seed = resolved["seed"]
     mo = resolved["motion"]
-    try:
-        sea_cfg = WaveSpectrumConfig(
-            v_w=sea_block["v_w"], n_harmonics=sea_block["n_harmonics"],
-            omega_lo=sea_block["omega_lo"], omega_hi=sea_block["omega_hi"], seed=seed)
-        motion = MotionConfig.with_random_phases(
-            math.radians(mo["amp_roll_deg"]), math.radians(mo["amp_pitch_deg"]),
-            math.radians(mo["amp_yaw_deg"]),
-            mo["rate_roll"], mo["rate_pitch"], mo["rate_yaw"], seed=seed)
-        series = simulate_swift(geom, sea_cfg, motion, AntennaPattern(),
-                                duration=resolved["duration"], dt=resolved["dt"],
-                                seed=seed, sea=sea)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    sea_cfg = WaveSpectrumConfig(
+        v_w=sea_block["v_w"], n_harmonics=sea_block["n_harmonics"],
+        omega_lo=sea_block["omega_lo"], omega_hi=sea_block["omega_hi"], seed=seed)
+    motion = MotionConfig.with_random_phases(
+        math.radians(mo["amp_roll_deg"]), math.radians(mo["amp_pitch_deg"]),
+        math.radians(mo["amp_yaw_deg"]),
+        mo["rate_roll"], mo["rate_pitch"], mo["rate_yaw"], seed=seed)
+    series = simulate_swift(geom, sea_cfg, motion, AntennaPattern(),
+                            duration=resolved["duration"], dt=resolved["dt"],
+                            seed=seed, sea=sea)
     out = _outdir(resolved)
     _write_csv(out / "swift.csv", ["t_s", "fading_db"],
                zip(series.t.tolist(), series.fading_db.tolist()))
@@ -313,21 +321,14 @@ def _run_swift_pdf(resolved: dict) -> None:
 
 def _run_smallscale_fit(resolved: dict) -> None:
     (amps,) = _read_csv_columns(resolved["input"], ["amplitude"])
-    try:
-        data = EnvelopeSamples(amps)
-        report = fit_mle(resolved["family"], data)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    report = fit_mle(resolved["family"], EnvelopeSamples(amps))
     out = _outdir(resolved)
     _write_json(out / "fit.json", report.to_dict())
 
 
 def _run_smallscale_sample(resolved: dict) -> None:
     model = _fading_model(resolved["family"], resolved["params"])
-    try:
-        draws = sample_fading(model, resolved["n"], resolved["seed"])
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    draws = sample_fading(model, resolved["n"], resolved["seed"])
     out = _outdir(resolved)
     _write_csv(out / "envelope.csv", ["amplitude"], ((float(v),) for v in draws))
 
@@ -335,24 +336,18 @@ def _run_smallscale_sample(resolved: dict) -> None:
 def _run_smallscale_gof(resolved: dict) -> None:
     model = _fading_model(resolved["family"], resolved["params"])
     (amps,) = _read_csv_columns(resolved["input"], ["amplitude"])
-    try:
-        data = EnvelopeSamples(amps)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    data = EnvelopeSamples(amps)
     out = _outdir(resolved)
     _write_json(out / "gof.json", {
         "family": resolved["family"], "params": resolved["params"],
         "ks": ks_statistic(data, model),
-        "pdf_rmse": pdf_rmse(data, model, bins=resolved.get("bins", 50)),
+        "pdf_rmse": pdf_rmse(data, model, bins=resolved["bins"]),
     })
 
 
 def _read_pdp(path: str) -> PdpRecord:
     delay_ns, power = _read_csv_columns(path, ["delay_ns", "power_linear"])
-    try:
-        return PdpRecord(delays=delay_ns * 1e-9, powers=power)
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return PdpRecord(delays=delay_ns * 1e-9, powers=power)
 
 
 def _run_sparsity(resolved: dict) -> None:
@@ -368,7 +363,7 @@ def _run_sparsity(resolved: dict) -> None:
 
 def _run_lemma_check(resolved: dict) -> None:
     n_trials, seed = resolved["n_trials"], resolved["seed"]
-    max_n, max_m = resolved.get("max_n", 50), resolved.get("max_m", 8)
+    max_n, max_m = resolved["max_n"], resolved["max_m"]
     if n_trials < 1 or max_n < 2 or max_m < 1:
         raise ValidationError("lemma-check needs n_trials >= 1, max_n >= 2 and max_m >= 1, "
                               f"got {n_trials}, {max_n} and {max_m}")
@@ -409,17 +404,14 @@ def _run_temporal(resolved: dict) -> None:
 
 def _run_sounder_sim(resolved: dict) -> None:
     delta_tau = resolved["delta_tau_ns"] * 1e-9
-    try:
-        cfg = ZcConfig(length=resolved["length"], root=resolved["root"])
-        pdp = synth_exp_pdp(gamma=resolved["gamma_ns"] * 1e-9, delta_tau=delta_tau,
-                            n_taps=resolved["n_taps"])
-        rng = np.random.default_rng(resolved["seed"])
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=pdp.n_mpc)
-        taps = np.sqrt(pdp.powers) * np.exp(1j * phases)
-        rx = simulate_link(Cir(taps=taps, delta_tau=delta_tau), cfg,
-                           snr_db=resolved["snr_db"], seed=resolved["seed"] + 1)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    cfg = ZcConfig(length=resolved["length"], root=resolved["root"])
+    pdp = synth_exp_pdp(gamma=resolved["gamma_ns"] * 1e-9, delta_tau=delta_tau,
+                        n_taps=resolved["n_taps"])
+    rng = np.random.default_rng(resolved["seed"])
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=pdp.n_mpc)
+    taps = np.sqrt(pdp.powers) * np.exp(1j * phases)
+    rx = simulate_link(Cir(taps=taps, delta_tau=delta_tau), cfg,
+                       snr_db=resolved["snr_db"], seed=resolved["seed"] + 1)
     out = _outdir(resolved)
     save_iq(out / "rx.iq", rx)
     _write_csv(out / "true_pdp.csv", ["delay_ns", "power_linear"],
@@ -427,13 +419,10 @@ def _run_sounder_sim(resolved: dict) -> None:
 
 
 def _run_sounder_extract(resolved: dict) -> None:
-    try:
-        cfg = ZcConfig(length=resolved["length"], root=resolved["root"])
-        rx = load_iq(resolved["input"])
-        cir = extract_cir(rx, cfg, delta_tau=resolved["delta_tau_ns"] * 1e-9)
-    except (ValueError, FileNotFoundError) as exc:
-        raise ValidationError(str(exc)) from exc
-    pdp = pdp_from_cir(cir, max_taps=resolved.get("max_taps"))
+    cfg = ZcConfig(length=resolved["length"], root=resolved["root"])
+    rx = load_iq(resolved["input"])
+    cir = extract_cir(rx, cfg, delta_tau=resolved["delta_tau_ns"] * 1e-9)
+    pdp = pdp_from_cir(cir, max_taps=resolved["max_taps"])
     out = _outdir(resolved)
     _write_csv(out / "pdp.csv", ["delay_ns", "power_linear"],
                zip((pdp.delays * 1e9).tolist(), pdp.powers.tolist()))
@@ -441,263 +430,177 @@ def _run_sounder_extract(resolved: dict) -> None:
 
 def _run_decompose(resolved: dict) -> None:
     group_ids, amps = _read_csv_columns(resolved["input"], ["group", "amplitude"])
-    groups = []
-    for gid in np.unique(group_ids):
-        groups.append(amps[group_ids == gid])
-    try:
-        swift_db, small = decompose_scales(groups)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    ids = np.unique(group_ids)
+    swift_db, small = decompose_scales([amps[group_ids == gid] for gid in ids])
     out = _outdir(resolved)
     _write_csv(out / "swift_deviations.csv", ["group", "fading_db"],
-               zip([int(g) for g in np.unique(group_ids)], swift_db.tolist()))
+               zip([int(g) for g in ids], swift_db.tolist()))
     flat = np.concatenate(small)
     _write_csv(out / "smallscale.csv", ["amplitude"], ((float(v),) for v in flat))
 
 
-_HANDLERS = {
-    "geometry": _run_geometry,
-    "pathloss-eval": _run_pathloss_eval,
-    "pathloss-fit": _run_pathloss_fit,
-    "swift-sim": _run_swift_sim,
-    "swift-pdf": _run_swift_pdf,
-    "smallscale-fit": _run_smallscale_fit,
-    "smallscale-sample": _run_smallscale_sample,
-    "smallscale-gof": _run_smallscale_gof,
-    "sparsity": _run_sparsity,
-    "sparsity-lemma-check": _run_lemma_check,
-    "temporal": _run_temporal,
-    "sounder-sim": _run_sounder_sim,
-    "sounder-extract": _run_sounder_extract,
-    "decompose": _run_decompose,
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+def _dest(flag: tuple[str, dict]) -> str:
+    """The config key a flag sets: its argparse dest."""
+    option, kwargs = flag
+    return kwargs.get("dest", option.lstrip("-").replace("-", "_"))
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A command; ``flags`` are (option, argparse keywords) pairs, and
+    ``fit_key`` is the config key read from the config file's ``fit`` block."""
+
+    words: tuple[str, ...]
+    handler: Callable[[dict], None]
+    help: str
+    flags: tuple[tuple[str, dict], ...] = ()
+    blocks: tuple[str, ...] = ()
+    seed: bool = False
+    fit_key: str | None = None
+
+    def keys(self) -> set[str]:
+        """The top-level keys of the command's resolved config."""
+        keys = {*self.blocks, *map(_dest, self.flags), "out", self.fit_key} - {None}
+        return keys | {"seed"} if self.seed else keys
+
+
+def _input(help: str) -> tuple[str, dict]:
+    return ("--input", {"required": True, "help": help})
+
+
+def _opt(option: str, type: type, default=None) -> tuple[str, dict]:
+    return (option, {"type": type, "default": default})
+
+
+_FAMILY = ("--family", {"required": True, "choices": sorted(_FAMILY_CLASSES)})
+_PARAMS = ("--params", {"required": True, "help": "JSON object of family parameters"})
+_ENVELOPE = _input("envelope CSV (amplitude)")
+_ZC = (_opt("--length", int, 65535), _opt("--root", int, 1), _opt("--delta-tau-ns", float, 50.0))
+_PDP = {"dest": "input", "metavar": "PDP", "help": "PDP CSV (delay_ns,power_linear)"}
+
+_COMMANDS = {
+    "geometry": _Command(("geometry",), _run_geometry, "threshold distances for a link",
+                         blocks=("geometry",)),
+    "pathloss-eval": _Command(
+        ("pathloss", "eval"), _run_pathloss_eval, "sweep a model over distance, emit CSV",
+        (("--model", {"required": True, "choices": _PL_MODELS}),
+         *((f"--{k}", {"type": float, "required": True}) for k in ("dmin", "dmax", "step"))),
+        blocks=("geometry", "sea"), fit_key="params"),
+    "pathloss-fit": _Command(
+        ("pathloss", "fit"), _run_pathloss_fit, "fit PLEs to measured samples",
+        (("--model", {"required": True, "choices": ["ci", "dual-ci", "dual-ci-mtr"]}),
+         _input("pathloss CSV (d_m,pl_db)")),
+        blocks=("geometry", "sea"), fit_key="d0"),
+    "swift-sim": _Command(("swift", "sim"), _run_swift_sim, "simulate a fading series",
+                          (_opt("--duration", float, 93.0), _opt("--dt", float, 0.1)),
+                          blocks=("geometry", "sea", "motion"), seed=True),
+    "swift-pdf": _Command(("swift", "pdf"), _run_swift_pdf, "histogram PDF of a fading series",
+                          (_input("swift CSV (t_s,fading_db)"), _opt("--bin-width", float, 0.25))),
+    "smallscale-fit": _Command(("smallscale", "fit"), _run_smallscale_fit,
+                               "MLE fit of one family to envelope samples", (_FAMILY, _ENVELOPE)),
+    "smallscale-sample": _Command(("smallscale", "sample"), _run_smallscale_sample,
+                                  "draw samples from a parameterized family",
+                                  (_FAMILY, _PARAMS, _opt("-n", int, 10000)), seed=True),
+    "smallscale-gof": _Command(("smallscale", "gof"), _run_smallscale_gof,
+                               "goodness of fit of a parameterized family",
+                               (_FAMILY, _PARAMS, _ENVELOPE, _opt("--bins", int, 50))),
+    "sparsity": _Command(("sparsity",), _run_sparsity, "sparsity metrics of a PDP",
+                         (("--pdp", _PDP),)),
+    "sparsity-lemma-check": _Command(
+        ("sparsity", "lemma-check"), _run_lemma_check, "randomized split-invariance checks",
+        (_opt("--n-trials", int, 10000), _opt("--max-n", int, 50), _opt("--max-m", int, 8)),
+        seed=True),
+    "temporal": _Command(("temporal",), _run_temporal, "delay spread and exponential PDP fit",
+                         (("--pdp", {**_PDP, "required": True}),)),
+    "sounder-sim": _Command(
+        ("sounder", "sim"), _run_sounder_sim, "simulate a sounding link, emit IQ + true PDP",
+        (*_ZC, _opt("--snr-db", float, 30.0), _opt("--gamma-ns", float, 24.0),
+         _opt("--n-taps", int, 5)), seed=True),
+    "sounder-extract": _Command(
+        ("sounder", "extract"), _run_sounder_extract, "extract CIR/PDP from recorded IQ",
+        (_input("IQ file (MCIQ1)"), *_ZC, _opt("--max-taps", int))),
+    "decompose": _Command(("decompose",), _run_decompose,
+                          "split grouped amplitudes into fading scales",
+                          (_input("CSV with columns group,amplitude"),)),
 }
 
-
-def _execute(command: str, resolved: dict) -> None:
-    _HANDLERS[command](resolved)
-    _write_manifest(_outdir(resolved), command, resolved)
-
-
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser, seed_default: int | None = 0) -> None:
-    p.add_argument("--config", help="JSON config file; flags override file values")
-    p.add_argument("--out", default="out", help="output directory")
-    if seed_default is not None:
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-
-
-def _geometry_overrides(args) -> dict:
-    return {k: getattr(args, k, None) for k in _GEOMETRY_DEFAULTS}
+# help for the words that only group commands
+_GROUP_HELP = {"pathloss": "path loss model sweeps and fits", "swift": "SWIFT fading simulation",
+               "smallscale": "fading distribution fitting and sampling",
+               "sounder": "Zadoff-Chu sounding simulation"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mariner-chan",
                                      description="Maritime channel modeling toolkit")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    parsers, subparsers = {(): parser}, {}
+    command_words = {cmd.words for cmd in _COMMANDS.values()}
 
-    def geometry_flags(p):
-        for key in _GEOMETRY_DEFAULTS:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float, default=None)
+    def add_parser(words: tuple[str, ...], help: str) -> argparse.ArgumentParser:
+        parent = words[:-1]
+        if parent not in parsers:
+            add_parser(parent, _GROUP_HELP[parent[0]])
+        if parent not in subparsers:
+            # a group needs a subcommand; a command that has subcommands runs without one
+            subparsers[parent] = parsers[parent].add_subparsers(
+                dest="subcmd" if parent else "cmd", required=parent not in command_words)
+        parsers[words] = subparsers[parent].add_parser(words[-1], help=help)
+        return parsers[words]
 
-    p = sub.add_parser("geometry", help="threshold distances for a link")
-    _add_common(p, seed_default=None)
-    geometry_flags(p)
+    for name, cmd in _COMMANDS.items():
+        p = add_parser(cmd.words, cmd.help)
+        p.set_defaults(command=name)
+        p.add_argument("--config", help="JSON config file; flags override file values")
+        p.add_argument("--out", default="out", help="output directory")
+        if cmd.seed:
+            p.add_argument("--seed", type=int, help="random seed")
+        for block in cmd.blocks:
+            for key in _BLOCKS[block][1]:
+                p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
+        for option, kwargs in cmd.flags:
+            p.add_argument(option, **kwargs)
 
-    p = sub.add_parser("pathloss", help="path loss model sweeps and fits")
-    pl_sub = p.add_subparsers(dest="subcmd", required=True)
-    pe = pl_sub.add_parser("eval", help="sweep a model over distance, emit CSV")
-    _add_common(pe, seed_default=None)
-    geometry_flags(pe)
-    pe.add_argument("--model", required=True, choices=_PL_MODELS)
-    pe.add_argument("--dmin", type=float, required=True)
-    pe.add_argument("--dmax", type=float, required=True)
-    pe.add_argument("--step", type=float, required=True)
-    pe.add_argument("--v-w", dest="v_w", type=float, default=None)
-    pf = pl_sub.add_parser("fit", help="fit PLEs to measured samples")
-    _add_common(pf, seed_default=None)
-    geometry_flags(pf)
-    pf.add_argument("--model", required=True, choices=["ci", "dual-ci", "dual-ci-mtr"])
-    pf.add_argument("--input", required=True, help="pathloss CSV (d_m,pl_db)")
-    pf.add_argument("--v-w", dest="v_w", type=float, default=None)
-
-    p = sub.add_parser("swift", help="SWIFT fading simulation")
-    sw_sub = p.add_subparsers(dest="subcmd", required=True)
-    ss = sw_sub.add_parser("sim", help="simulate a fading series")
-    _add_common(ss)
-    geometry_flags(ss)
-    ss.add_argument("--v-w", dest="v_w", type=float, default=None)
-    ss.add_argument("--duration", type=float, default=93.0)
-    ss.add_argument("--dt", type=float, default=0.1)
-    sp = sw_sub.add_parser("pdf", help="histogram PDF of a fading series")
-    _add_common(sp, seed_default=None)
-    sp.add_argument("--input", required=True, help="swift CSV (t_s,fading_db)")
-    sp.add_argument("--bin-width", type=float, default=0.25)
-
-    p = sub.add_parser("smallscale", help="fading distribution fitting and sampling")
-    sm_sub = p.add_subparsers(dest="subcmd", required=True)
-    sf = sm_sub.add_parser("fit", help="MLE fit of one family to envelope samples")
-    _add_common(sf, seed_default=None)
-    sf.add_argument("--family", required=True, choices=sorted(_FAMILY_CLASSES))
-    sf.add_argument("--input", required=True, help="envelope CSV (amplitude)")
-    ssm = sm_sub.add_parser("sample", help="draw samples from a parameterized family")
-    _add_common(ssm)
-    ssm.add_argument("--family", required=True, choices=sorted(_FAMILY_CLASSES))
-    ssm.add_argument("--params", required=True, help="JSON object of family parameters")
-    ssm.add_argument("-n", type=int, default=10000)
-    sg = sm_sub.add_parser("gof", help="goodness of fit of a parameterized family")
-    _add_common(sg, seed_default=None)
-    sg.add_argument("--family", required=True, choices=sorted(_FAMILY_CLASSES))
-    sg.add_argument("--params", required=True, help="JSON object of family parameters")
-    sg.add_argument("--input", required=True, help="envelope CSV (amplitude)")
-    sg.add_argument("--bins", type=int, default=50)
-
-    p = sub.add_parser("sparsity", help="sparsity metrics of a PDP")
-    sp_sub = p.add_subparsers(dest="subcmd")
-    lc = sp_sub.add_parser("lemma-check", help="randomized split-invariance checks")
-    _add_common(lc)
-    lc.add_argument("--n-trials", type=int, default=10000)
-    lc.add_argument("--max-n", type=int, default=50)
-    lc.add_argument("--max-m", type=int, default=8)
-    p.add_argument("--pdp", help="PDP CSV (delay_ns,power_linear)")
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", default="out")
-
-    p = sub.add_parser("temporal", help="delay spread and exponential PDP fit")
-    _add_common(p, seed_default=None)
-    p.add_argument("--pdp", required=True, help="PDP CSV (delay_ns,power_linear)")
-
-    p = sub.add_parser("sounder", help="Zadoff-Chu sounding simulation")
-    so_sub = p.add_subparsers(dest="subcmd", required=True)
-    si = so_sub.add_parser("sim", help="simulate a sounding link, emit IQ + true PDP")
-    _add_common(si)
-    si.add_argument("--length", type=int, default=65535)
-    si.add_argument("--root", type=int, default=1)
-    si.add_argument("--snr-db", type=float, default=30.0)
-    si.add_argument("--gamma-ns", type=float, default=24.0)
-    si.add_argument("--n-taps", type=int, default=5)
-    si.add_argument("--delta-tau-ns", type=float, default=50.0)
-    se = so_sub.add_parser("extract", help="extract CIR/PDP from recorded IQ")
-    _add_common(se, seed_default=None)
-    se.add_argument("--input", required=True, help="IQ file (MCIQ1)")
-    se.add_argument("--length", type=int, default=65535)
-    se.add_argument("--root", type=int, default=1)
-    se.add_argument("--delta-tau-ns", type=float, default=50.0)
-    se.add_argument("--max-taps", type=int, default=None)
-
-    p = sub.add_parser("decompose", help="split grouped amplitudes into fading scales")
-    _add_common(p, seed_default=None)
-    p.add_argument("--input", required=True, help="CSV with columns group,amplitude")
-
-    p = sub.add_parser("replay", help="re-execute a recorded run")
+    p = add_parser(("replay",), "re-execute a recorded run")
     p.add_argument("manifest", help="manifest.json from a previous run")
     p.add_argument("--out", default=None, help="override output directory")
-
     return parser
 
 
 def _resolve(args) -> tuple[str, dict]:
-    config = _load_config(getattr(args, "config", None))
-    cmd = args.cmd
-    out = getattr(args, "out", None) or config.get("out", "out")
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = config.get("seed", 0)
-
-    if cmd == "geometry":
-        geom = _resolve_block(config, "geometry", _GEOMETRY_DEFAULTS, _geometry_overrides(args))
-        return "geometry", {"geometry": geom, "out": out}
-
-    if cmd == "pathloss":
-        geom = _resolve_block(config, "geometry", _GEOMETRY_DEFAULTS, _geometry_overrides(args))
-        sea = _resolve_block(config, "sea", _SEA_DEFAULTS, {"v_w": getattr(args, "v_w", None)})
-        if args.subcmd == "eval":
-            return "pathloss-eval", {
-                "geometry": geom, "sea": sea, "model": args.model,
-                "params": config.get("fit", {}),
-                "dmin": args.dmin, "dmax": args.dmax, "step": args.step, "out": out,
-            }
-        return "pathloss-fit", {
-            "geometry": geom, "sea": sea, "model": args.model,
-            "input": args.input, "d0": config.get("fit", {}).get("d0", 1.0), "out": out,
-        }
-
-    if cmd == "swift":
-        if args.subcmd == "sim":
-            geom = _resolve_block(config, "geometry", _GEOMETRY_DEFAULTS,
-                                  _geometry_overrides(args))
-            sea = _resolve_block(config, "sea", _SEA_DEFAULTS,
-                                 {"v_w": getattr(args, "v_w", None)})
-            motion = _resolve_block(config, "motion", _MOTION_DEFAULTS, {})
-            return "swift-sim", {
-                "geometry": geom, "sea": sea, "motion": motion,
-                "duration": args.duration, "dt": args.dt, "seed": seed, "out": out,
-            }
-        return "swift-pdf", {"input": args.input, "bin_width": args.bin_width, "out": out}
-
-    if cmd == "smallscale":
-        if args.subcmd == "fit":
-            return "smallscale-fit", {"family": args.family, "input": args.input, "out": out}
-        params = _parse_params(args.params)
-        if args.subcmd == "sample":
-            return "smallscale-sample", {"family": args.family, "params": params,
-                                         "n": args.n, "seed": seed, "out": out}
-        return "smallscale-gof", {"family": args.family, "params": params,
-                                  "input": args.input, "bins": args.bins, "out": out}
-
-    if cmd == "sparsity":
-        if getattr(args, "subcmd", None) == "lemma-check":
-            return "sparsity-lemma-check", {
-                "n_trials": args.n_trials, "max_n": args.max_n, "max_m": args.max_m,
-                "seed": seed, "out": out,
-            }
-        if not args.pdp:
-            raise ValidationError("sparsity requires --pdp (or the lemma-check subcommand)")
-        return "sparsity", {"input": args.pdp, "out": out}
-
-    if cmd == "temporal":
-        return "temporal", {"input": args.pdp, "out": out}
-
-    if cmd == "sounder":
-        if args.subcmd == "sim":
-            return "sounder-sim", {
-                "length": args.length, "root": args.root, "snr_db": args.snr_db,
-                "gamma_ns": args.gamma_ns, "n_taps": args.n_taps,
-                "delta_tau_ns": args.delta_tau_ns, "seed": seed, "out": out,
-            }
-        return "sounder-extract", {
-            "input": args.input, "length": args.length, "root": args.root,
-            "delta_tau_ns": args.delta_tau_ns, "max_taps": args.max_taps, "out": out,
-        }
-
-    if cmd == "decompose":
-        return "decompose", {"input": args.input, "out": out}
-
-    raise ValidationError(f"unknown command {cmd!r}")
+    cmd = _COMMANDS[args.command]
+    config = {} if args.config is None else _load_json(args.config, "config file")
+    resolved = {block: _resolve_block(config, block, args) for block in cmd.blocks}
+    resolved.update({_dest(flag): getattr(args, _dest(flag)) for flag in cmd.flags})
+    if cmd.seed:
+        resolved["seed"] = config.get("seed", 0) if args.seed is None else args.seed
+    resolved["out"] = args.out or config.get("out", "out")
+    # pathloss eval takes its model parameters, and pathloss fit its d0, from the fit block
+    if cmd.fit_key:
+        fit = config.get("fit", {})
+        resolved[cmd.fit_key] = fit if cmd.fit_key == "params" else fit.get("d0", 1.0)
+    if _PARAMS in cmd.flags:
+        resolved["params"] = _parse_params(resolved["params"])
+    if args.command == "sparsity" and resolved["input"] is None:
+        raise ValidationError("sparsity requires --pdp (or the lemma-check subcommand)")
+    return args.command, resolved
 
 
-def _parse_params(text: str) -> dict:
-    try:
-        params = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--params must be a JSON object: {exc}") from exc
-    if not isinstance(params, dict):
-        raise ValidationError("--params must be a JSON object")
-    return params
+def _execute(command: str, resolved: dict) -> None:
+    _COMMANDS[command].handler(resolved)
+    _write_manifest(_outdir(resolved), command, resolved)
 
 
 def _run_replay(manifest_path: str, out_override: str | None) -> None:
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    manifest = _load_json(manifest_path, "manifest")
     command = manifest.get("command")
     resolved = manifest.get("config")
-    if command not in _HANDLERS or not isinstance(resolved, dict):
+    if (command not in _COMMANDS or not isinstance(resolved, dict)
+            or set(resolved) != _COMMANDS[command].keys()):
         raise ValidationError(f"manifest {manifest_path} is not a valid run record")
     if out_override is not None:
         resolved = dict(resolved, out=out_override)
@@ -705,18 +608,16 @@ def _run_replay(manifest_path: str, out_override: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.cmd == "replay":
             _run_replay(args.manifest, args.out)
         else:
-            command, resolved = _resolve(args)
-            _execute(command, resolved)
-    except ValidationError as exc:
+            _execute(*_resolve(args))
+    except (ValidationError, ValueError, FileNotFoundError) as exc:  # invalid input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failure
+    except Exception as exc:  # runtime failure, such as a solver's RuntimeError
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     return 0

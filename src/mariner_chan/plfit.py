@@ -123,7 +123,8 @@ def fit_dual_ci_mtr(samples: list[PathLossSample], geom: LinkGeometry,
     distance is taken from the link geometry unless given explicitly.
 
     Null-flagged samples (exact interference nulls of the model) are excluded
-    from the design matrix; a warning is attached when they exceed 20%.
+    from the design matrix; a warning is attached when they exceed 20%.  As in
+    ``fit_dual_ci``, n2 is nan (flagged) when no sample lies beyond the break.
     """
     if d_break is None:
         d_break = break_distance(geom)
@@ -137,15 +138,20 @@ def fit_dual_ci_mtr(samples: list[PathLossSample], geom: LinkGeometry,
     if len(d_ok) < 2:
         raise ValueError("too few non-null samples to fit")
 
-    x2 = np.where(d_ok > d_break, 10.0 * np.log10(d_ok / d_break), 0.0)
+    beyond = d_ok > d_break
+    x2 = np.where(beyond, 10.0 * np.log10(d_ok / d_break), 0.0)
     design = np.column_stack([g_ok, x2])
+    # with no sample beyond the break x2 is all zero, and lstsq's minimum-norm
+    # solution fits n1 alone
     coef, *_ = np.linalg.lstsq(design, pl_ok, rcond=None)
     residuals = pl_ok - design @ coef
     rmse = float(np.sqrt(np.mean(residuals**2)))
-    params = DualSlopeParams(n1=float(coef[0]), n2=float(coef[1]),
+    params = DualSlopeParams(n1=float(coef[0]), n2=float(coef[1]) if beyond.any() else math.nan,
                              d_break=d_break, sigma_sf=rmse)
     report = PlFitReport(params=params, rmse_db=rmse, n_samples=len(d_ok),
                          residuals=residuals)
+    if not beyond.any():
+        report.warnings.append("no samples beyond the break distance; n2 unset")
     if n_null > 0.2 * len(d):
         report.warnings.append(f"{n_null}/{len(d)} samples null-flagged and excluded")
     return report

@@ -72,6 +72,8 @@ def extract_cir(rx: np.ndarray, cfg: ZcConfig, delta_tau: float = 50e-9) -> Cir:
 
 def pdp_from_cir(c: Cir, max_taps: int | None = None) -> PdpRecord:
     """Squared-magnitude power delay profile of the impulse response."""
+    if max_taps is not None and max_taps < 1:
+        raise ValueError(f"max_taps must be at least 1, got {max_taps}")
     taps = c.taps if max_taps is None else c.taps[:max_taps]
     powers = np.abs(taps) ** 2
     delays = np.arange(taps.size) * c.delta_tau

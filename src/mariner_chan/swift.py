@@ -291,6 +291,8 @@ def simulate_swift(
 
 def empirical_pdf(values: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized histogram PDF: (bin centers, densities) integrating to 1."""
+    if not bin_width > 0:
+        raise ValueError(f"bin width must be positive, got {bin_width}")
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
     if v.size < 2:

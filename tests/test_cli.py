@@ -1,12 +1,16 @@
 """Command-line front-end tests: exit codes, CSV schemas, manifests, replay."""
 
 import csv
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from mariner_chan import cli
 from mariner_chan.cli import _write_json, main, worker_count
+from mariner_chan.sounder import save_iq
 from mariner_chan.sparsity import PdpRecord, gini, split_equal, split_random
 
 
@@ -304,3 +308,119 @@ def test_fit_diagnostics_stay_out_of_the_manifest(tmp_path):
     manifest = json.loads((fit_out / "manifest.json").read_text())
     assert set(manifest) == {"command", "config", "config_sha256", "seed", "version"}
     assert "diagnostics" not in manifest["config"]
+
+
+def test_dual_ci_mtr_fit_without_samples_beyond_the_break(tmp_path):
+    sweep = tmp_path / "sweep"
+    assert run("pathloss", "eval", "--model", "dual-ci-mtr", "--dmin", "1000",
+               "--dmax", "3000", "--step", "100", "--out", str(sweep)) == 0
+    for model in ("dual-ci", "dual-ci-mtr"):
+        out = tmp_path / model
+        assert run("pathloss", "fit", "--model", model, "--input", str(sweep / "pathloss.csv"),
+                   "--out", str(out)) == 0
+        report = json.loads((out / "fit.json").read_text())
+        assert report["params"]["n1"] == pytest.approx(2.0, abs=0.01)
+        assert math.isnan(report["params"]["n2"])
+        assert report["warnings"] == ["no samples beyond the break distance; n2 unset"]
+
+
+def _one_run_per_command(tmp):
+    """Small argv for every command, in an order where each input exists."""
+    (tmp / "grouped.csv").write_text("group,amplitude\n0,1.0\n0,1.2\n1,2.0\n1,2.4\n")
+    rician = ["--family", "rician", "--params", '{"s": 0.994, "sigma": 0.081}']
+    return {
+        "geometry": ["geometry", "--h-t", "20"],
+        "pathloss-eval": ["pathloss", "eval", "--model", "dual-ci", "--dmin", "1000",
+                          "--dmax", "12000", "--step", "500"],
+        "pathloss-fit": ["pathloss", "fit", "--model", "dual-ci",
+                         "--input", f"{tmp}/pathloss-eval/pathloss.csv"],
+        "swift-sim": ["swift", "sim", "--duration", "3", "--seed", "5"],
+        "swift-pdf": ["swift", "pdf", "--input", f"{tmp}/swift-sim/swift.csv"],
+        "smallscale-sample": ["smallscale", "sample", *rician, "-n", "500", "--seed", "2"],
+        "smallscale-fit": ["smallscale", "fit", "--family", "rician",
+                           "--input", f"{tmp}/smallscale-sample/envelope.csv"],
+        "smallscale-gof": ["smallscale", "gof", *rician, "--bins", "20",
+                           "--input", f"{tmp}/smallscale-sample/envelope.csv"],
+        "sounder-sim": ["sounder", "sim", "--length", "255", "--n-taps", "4", "--seed", "2"],
+        "sounder-extract": ["sounder", "extract", "--length", "255", "--max-taps", "4",
+                            "--input", f"{tmp}/sounder-sim/rx.iq"],
+        "sparsity": ["sparsity", "--pdp", f"{tmp}/sounder-extract/pdp.csv"],
+        "sparsity-lemma-check": ["sparsity", "lemma-check", "--n-trials", "50", "--seed", "3"],
+        "temporal": ["temporal", "--pdp", f"{tmp}/sounder-extract/pdp.csv"],
+        "decompose": ["decompose", "--input", f"{tmp}/grouped.csv"],
+    }
+
+
+def test_every_command_runs_and_replays_byte_for_byte(tmp_path):
+    runs = _one_run_per_command(tmp_path)
+    assert set(runs) == set(cli._COMMANDS)
+    for name, argv in runs.items():
+        out, again = tmp_path / name, tmp_path / f"{name}-replay"
+        assert run(*argv, "--out", str(out)) == 0, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == name
+        assert set(manifest["config"]) == cli._COMMANDS[name].keys()
+        assert run("replay", str(out / "manifest.json"), "--out", str(again)) == 0, name
+        replayed = json.loads((again / "manifest.json").read_text())
+        assert replayed["config"] == dict(manifest["config"], out=str(again))
+        outputs = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert outputs and outputs == sorted(p.name for p in again.iterdir()
+                                             if p.name != "manifest.json")
+        for output in outputs:
+            assert (out / output).read_bytes() == (again / output).read_bytes(), (name, output)
+
+
+def _invalid_inputs(tmp):
+    (tmp / "one_row.csv").write_text("t_s,fading_db\n0.0,1.5\n")
+    (tmp / "series.csv").write_text("t_s,fading_db\n0.0,0.5\n0.1,1.5\n0.2,-0.3\n")
+    (tmp / "envelope.csv").write_text("amplitude\n0.9\n1.0\n1.1\n1.2\n")
+    (tmp / "negative_n1.json").write_text(json.dumps({"fit": {"n1": -1}}))
+    (tmp / "bad_keys.json").write_text(json.dumps({"command": "geometry", "config": {}}))
+    (tmp / "list.json").write_text("[1, 2]")
+    save_iq(tmp / "rx.iq", np.ones(255, dtype=complex))
+
+
+_INVALID = {
+    "swift-pdf-one-row": ["swift", "pdf", "--input", "{tmp}/one_row.csv"],
+    "ci-below-d0": ["pathloss", "eval", "--model", "ci", "--dmin", "0.5", "--dmax", "10",
+                    "--step", "1"],
+    "dual-ci-negative-n1": ["pathloss", "eval", "--model", "dual-ci", "--dmin", "1000",
+                            "--dmax", "2000", "--step", "500",
+                            "--config", "{tmp}/negative_n1.json"],
+    "gof-one-bin": ["smallscale", "gof", "--family", "rician",
+                    "--params", '{"s": 1.0, "sigma": 0.1}', "--input", "{tmp}/envelope.csv",
+                    "--bins", "1"],
+    "extract-zero-taps": ["sounder", "extract", "--length", "255", "--input", "{tmp}/rx.iq",
+                          "--max-taps", "0"],
+    "extract-negative-taps": ["sounder", "extract", "--length", "255",
+                              "--input", "{tmp}/rx.iq", "--max-taps", "-2"],
+    "extract-missing-iq": ["sounder", "extract", "--input", "{tmp}/nope.iq"],
+    "swift-pdf-zero-bin-width": ["swift", "pdf", "--input", "{tmp}/series.csv",
+                                 "--bin-width", "0"],
+    "swift-pdf-negative-bin-width": ["swift", "pdf", "--input", "{tmp}/series.csv",
+                                     "--bin-width", "-1"],
+    "replay-bad-keys": ["replay", "{tmp}/bad_keys.json"],
+    "replay-list": ["replay", "{tmp}/list.json"],
+    "config-list": ["geometry", "--config", "{tmp}/list.json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_INVALID.values()), ids=list(_INVALID))
+def test_invalid_input_exits_2(tmp_path, capsys, argv):
+    _invalid_inputs(tmp_path)
+    out = tmp_path / "out"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+
+
+def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(resolved):
+        raise RuntimeError("reflection solver found no root")
+
+    geometry = cli._COMMANDS["geometry"]
+    monkeypatch.setitem(cli._COMMANDS, "geometry", dataclasses.replace(geometry, handler=fail))
+    assert run("geometry", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("runtime error: ")
+    assert not (tmp_path / "manifest.json").exists()

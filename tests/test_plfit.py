@@ -83,6 +83,17 @@ def test_fit_dual_ci_mtr_noiseless_round_trip():
     assert rep.params.d_break == pytest.approx(d_break)
 
 
+def test_fit_dual_ci_mtr_no_samples_beyond_break():
+    d_break = break_distance(REF)
+    true = DualSlopeParams(n1=2.0, n2=4.0, d_break=d_break)
+    s = _samples(np.arange(1000.0, 3001.0, 100.0),
+                 lambda d: dual_ci_mtr_path_loss(true, REF, SEA, d))
+    rep = fit_dual_ci_mtr(s, REF, SEA)
+    assert rep.warnings == ["no samples beyond the break distance; n2 unset"]
+    assert rep.params.n1 == pytest.approx(2.0, abs=1e-9)
+    assert math.isnan(rep.params.n2)
+
+
 def test_mtr_regressor_scales_with_exponent():
     d = 5000.0
     g = mtr_regressor(REF, SEA, d)

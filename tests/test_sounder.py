@@ -57,6 +57,12 @@ def test_pdp_from_cir_delay_grid():
     assert np.allclose(pdp.powers, [1.0, 0.25])
 
 
+@pytest.mark.parametrize("max_taps", [0, -2])
+def test_pdp_from_cir_needs_at_least_one_tap(max_taps):
+    with pytest.raises(ValueError, match="max_taps"):
+        pdp_from_cir(Cir(taps=np.array([1.0, 0.5j, 0.25])), max_taps=max_taps)
+
+
 def test_iq_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)

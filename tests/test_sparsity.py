@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mariner_chan import sparsity
 from mariner_chan.sparsity import (
     PdpRecord,
     coarsen_pdp,
@@ -165,3 +166,25 @@ def test_split_lemma_batch_matches_the_trial_loop_in_every_cell():
                 for a, b, row, s in zip(n, m, powers, seeds)]
     assert gaps.tolist() == [gap for gap, _ in expected]
     assert violations.tolist() == [bad for _, bad in expected]
+
+
+def test_split_lemma_batch_flags_a_violation_beyond_its_tolerance(monkeypatch):
+    """A random split whose Gini falls 1e-11 below the equal split's is a
+    violation; one that falls 1e-13 below is within the 1e-12 tolerance."""
+
+    def equal_split_moved_toward_its_mean(powers, m, seed):
+        # moving toward the mean by eps scales the Gini by (1 - eps);
+        # the seed names the drop, 10**-seed
+        equal = np.repeat(powers / m, m)
+        eps = 10.0 ** -seed / gini_rows(equal)
+        return equal + eps * (equal.mean() - equal)
+
+    monkeypatch.setattr(sparsity, "_random_split_powers", equal_split_moved_toward_its_mean)
+    powers = np.tile(np.random.default_rng(2).exponential(1.0, size=6), (2, 1))
+    seeds = np.array([11, 13])
+    _, violations = split_lemma_batch(np.array([6, 6]), np.array([3, 3]), powers, seeds)
+    assert violations.tolist() == [True, False]
+    g_eq = gini_rows(np.repeat(powers[0] / 3, 3))
+    for seed in seeds:
+        drop = g_eq - gini_rows(equal_split_moved_toward_its_mean(powers[0], 3, seed))
+        assert 0.5 * 10.0 ** -seed < drop < 2.0 * 10.0 ** -seed

@@ -231,6 +231,12 @@ def test_empirical_pdf_normalized():
     assert centers.size == density.size
 
 
+@pytest.mark.parametrize("bin_width", [0.0, -1.0])
+def test_empirical_pdf_needs_a_positive_bin_width(bin_width):
+    with pytest.raises(ValueError, match="bin width"):
+        empirical_pdf(np.array([0.5, 1.5, -0.3]), bin_width=bin_width)
+
+
 def test_decompose_scales_oracle():
     # two groups with mean amplitudes 1 and 2: dB deviations are +/- 10log10(2)
     g1 = np.full(100, 1.0)
