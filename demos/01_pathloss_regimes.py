@@ -29,10 +29,12 @@ print(f"  geometric visibility      : {th.d_los_vision / 1e3:8.2f} km")
 print()
 
 print(f"{'d [km]':>8} {'FSPL':>8} {'two-ray':>9} {'MTR (7.7 m/s)':>14}")
-for d in np.geomspace(500, 25_000, 16):
-    g = geom.at_distance(float(d))
-    row = (fspl(geom.f_c, float(d)), two_ray_simplified(g), mtr_path_loss(g, sea))
-    print(f"{d / 1e3:8.2f} {row[0]:8.2f} {row[1]:9.2f} {row[2]:14.2f}")
+d = np.geomspace(500, 25_000, 16)
+# each model evaluates the whole distance axis in one call
+rows = np.column_stack([fspl(geom.f_c, d), two_ray_simplified(geom, d),
+                        mtr_path_loss(geom, sea, d=d)])
+for dk, row in zip(d, rows):
+    print(f"{dk / 1e3:8.2f} {row[0]:8.2f} {row[1]:9.2f} {row[2]:14.2f}")
 
 print()
 print("Within the interference region the two-ray and MTR curves oscillate")

@@ -241,9 +241,9 @@ def _pl_evaluator(resolved: dict):
     if model == "fspl":
         return lambda d: fspl(geom.f_c, d)
     if model == "two-ray":
-        return lambda d: two_ray_simplified(geom.at_distance(d))
+        return lambda d: two_ray_simplified(geom, d)
     if model == "mtr":
-        return lambda d: mtr_path_loss(geom.at_distance(d), sea)
+        return lambda d: mtr_path_loss(geom, sea, d=d)
     if model == "ci":
         ci = CiParams(n=p.get("n", 2.0), d0=p.get("d0", 1.0))
         return lambda d: ci_path_loss(ci, geom.f_c, d)
@@ -262,9 +262,9 @@ def _run_pathloss_eval(resolved: dict) -> None:
     if dmin <= 0 or dmax < dmin or step <= 0:
         raise ValidationError(f"bad sweep range ({dmin}, {dmax}, {step})")
     distances = np.arange(dmin, dmax + 0.5 * step, step)
-    rows = [(float(d), float(evaluate(float(d)))) for d in distances]
+    pl = evaluate(distances)
     out = _outdir(resolved)
-    _write_csv(out / "pathloss.csv", ["d_m", "pl_db"], rows)
+    _write_csv(out / "pathloss.csv", ["d_m", "pl_db"], zip(distances.tolist(), pl.tolist()))
 
 
 def _run_pathloss_fit(resolved: dict) -> None:
@@ -555,8 +555,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         p = add_parser(cmd.words, cmd.help)
         p.set_defaults(command=name)
-        p.add_argument("--config", help="JSON config file; flags override file values")
-        p.add_argument("--out", default="out", help="output directory")
+        # no default: a subcommand's would overwrite its parent's (sparsity --out X lemma-check)
+        p.add_argument("--config", default=argparse.SUPPRESS,
+                       help="JSON config file; flags override file values")
+        p.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
         if cmd.seed:
             p.add_argument("--seed", type=int, help="random seed")
         for block in cmd.blocks:
@@ -573,12 +575,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args) -> tuple[str, dict]:
     cmd = _COMMANDS[args.command]
-    config = {} if args.config is None else _load_json(args.config, "config file")
+    config = _load_json(args.config, "config file") if "config" in args else {}
     resolved = {block: _resolve_block(config, block, args) for block in cmd.blocks}
     resolved.update({_dest(flag): getattr(args, _dest(flag)) for flag in cmd.flags})
     if cmd.seed:
         resolved["seed"] = config.get("seed", 0) if args.seed is None else args.seed
-    resolved["out"] = args.out or config.get("out", "out")
+    resolved["out"] = getattr(args, "out", None) or config.get("out", "out")
     # pathloss eval takes its model parameters, and pathloss fit its d0, from the fit block
     if cmd.fit_key:
         fit = config.get("fit", {})
@@ -602,6 +604,13 @@ def _run_replay(manifest_path: str, out_override: str | None) -> None:
     if (command not in _COMMANDS or not isinstance(resolved, dict)
             or set(resolved) != _COMMANDS[command].keys()):
         raise ValidationError(f"manifest {manifest_path} is not a valid run record")
+    for block in _COMMANDS[command].blocks:
+        keys = set(resolved[block]) if isinstance(resolved[block], dict) else set()
+        expected = set(_BLOCKS[block][0])
+        if keys != expected:
+            raise ValidationError(
+                f"manifest {manifest_path}: config block {block!r} lacks keys "
+                f"{sorted(expected - keys)} and has unknown keys {sorted(keys - expected)}")
     if out_override is not None:
         resolved = dict(resolved, out=out_override)
     _execute(command, resolved)

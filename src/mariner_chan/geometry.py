@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 EARTH_RADIUS = 6_371_000.0  # m
 
@@ -55,12 +57,13 @@ class ThresholdDistances:
 
 @dataclass(frozen=True)
 class ReflectionGeometry:
-    """Specular reflection over a locally flat plane at the reflection level."""
+    """Specular reflection over a locally flat plane at the reflection level;
+    each field is a scalar, or an array of the inputs' broadcast shape."""
 
-    d1: float             # horizontal Tx-to-reflection-point distance, m
-    d2: float             # horizontal reflection-point-to-Rx distance, m
-    grazing_angle: float  # angle between reflected ray and the plane, rad
-    delta_d: float        # reflected-minus-direct path length difference, m
+    d1: float | np.ndarray             # horizontal Tx-to-reflection-point distance, m
+    d2: float | np.ndarray             # horizontal reflection-point-to-Rx distance, m
+    grazing_angle: float | np.ndarray  # angle between reflected ray and the plane, rad
+    delta_d: float | np.ndarray        # reflected-minus-direct path length difference, m
 
 
 def wavelength(geom: LinkGeometry) -> float:
@@ -103,21 +106,26 @@ def thresholds(geom: LinkGeometry) -> ThresholdDistances:
     )
 
 
-def reflection_geometry(geom: LinkGeometry, h_t_eff: float | None = None,
-                        h_r_eff: float | None = None) -> ReflectionGeometry:
+def reflection_geometry(geom: LinkGeometry, h_t_eff=None, h_r_eff=None,
+                        d=None) -> ReflectionGeometry:
     """Specular reflection point and exact image-geometry path difference for
-    (possibly wave-adjusted) effective antenna heights.
+    (possibly wave-adjusted) effective antenna heights, at the distance(s) d
+    (default ``geom.d``).  Heights and distances may be arrays that broadcast
+    together; scalar inputs give scalar fields.
 
     A wave crest at or above an antenna (non-positive effective height) is
     outside the model's validity and rejected.
     """
-    ht = geom.h_t if h_t_eff is None else h_t_eff
-    hr = geom.h_r if h_r_eff is None else h_r_eff
-    if ht <= 0 or hr <= 0:
-        raise ValueError(f"effective antenna heights must be positive, got {ht}, {hr}")
-    d = geom.d
+    ht = np.asarray(geom.h_t if h_t_eff is None else h_t_eff, dtype=float)
+    hr = np.asarray(geom.h_r if h_r_eff is None else h_r_eff, dtype=float)
+    if (ht <= 0).any() or (hr <= 0).any():
+        raise ValueError(f"effective antenna heights must be positive, got {ht.min()}, {hr.min()}")
+    d = np.asarray(geom.d if d is None else d, dtype=float)
+    if (d <= 0).any():
+        raise ValueError(f"distance must be positive, got minimum {np.min(d)}")
     d1 = d * ht / (ht + hr)
     d2 = d - d1
-    grazing = math.atan2(ht, d1)
-    delta_d = math.sqrt(d**2 + (ht + hr)**2) - math.sqrt(d**2 + (ht - hr)**2)
+    grazing = np.arctan2(ht, d1)
+    h_sum, h_diff = ht + hr, ht - hr
+    delta_d = np.sqrt(d * d + h_sum * h_sum) - np.sqrt(d * d + h_diff * h_diff)
     return ReflectionGeometry(d1=d1, d2=d2, grazing_angle=grazing, delta_d=delta_d)

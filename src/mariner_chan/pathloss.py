@@ -5,16 +5,18 @@ model with sea-surface divergence/shadowing/roughness factors, the close-in
 (CI) reference-distance model, the dual-slope CI model, the dual-slope CI-MTR
 model, and the dB-domain link-budget combinator.
 
-Deterministic evaluators never add shadow fading; use ``sample_shadow_fading``
-to draw the dB-domain random term separately.  Interference nulls of the
-idealized two-ray family are reported as ``math.inf`` loss (use ``is_null``).
+Every evaluator takes its distance, and the MTR family its effective antenna
+heights, as scalars or as arrays that broadcast together, and evaluates the
+whole axis in one call; scalar inputs give a scalar.  Deterministic evaluators
+never add shadow fading; use ``sample_shadow_fading`` to draw the dB-domain
+random term separately.  Interference nulls of the idealized two-ray family are
+reported elementwise as ``inf`` loss (use ``is_null``).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc, i0e
@@ -22,7 +24,6 @@ from scipy.special import erfc, i0e
 from .geometry import (
     LinkGeometry,
     SPEED_OF_LIGHT,
-    break_distance,
     reflection_geometry,
     wavelength,
 )
@@ -44,12 +45,13 @@ class SeaStateParams:
 
 @dataclass(frozen=True)
 class MtrFactors:
-    """Multiplicative factors applied to the reflected ray in the MTR model."""
+    """Multiplicative factors applied to the reflected ray in the MTR model;
+    the first four are scalars or arrays over the evaluated axis."""
 
-    divergence: float   # D, spherical-Earth ray-bundle spreading, (0, 1]
-    shadowing: float    # S, wave shielding at grazing incidence, [0, 1]
-    roughness: float    # R, Miller-Brown coherent-reflection reduction, (0, 1]
-    phase: float        # reflected-ray excess phase, rad
+    divergence: float | np.ndarray  # D, spherical-Earth ray-bundle spreading, (0, 1]
+    shadowing: float | np.ndarray   # S, wave shielding at grazing incidence, [0, 1]
+    roughness: float | np.ndarray   # R, Miller-Brown coherent-reflection reduction, (0, 1]
+    phase: float | np.ndarray       # reflected-ray excess phase, rad
     beta0: float        # RMS sea-surface slope
     sigma_s: float      # sea-surface height standard deviation, m
 
@@ -89,63 +91,74 @@ class DualSlopeParams:
             raise ValueError(f"shadow-fading std must be non-negative, got {self.sigma_sf}")
 
 
-def is_null(loss_db: float) -> bool:
-    """True for the flagged +inf loss returned at exact interference nulls."""
-    return math.isinf(loss_db) and loss_db > 0
+def is_null(loss_db):
+    """True, elementwise, for the flagged +inf loss returned at exact interference nulls."""
+    return np.isposinf(loss_db)
 
 
-def fspl(f: float, d: float) -> float:
+def _log10_ratio(num, den):
+    """log10(num/den), without a warning where den or num is 0 (+inf or -inf)."""
+    with np.errstate(divide="ignore"):
+        return np.log10(num / den)
+
+
+def fspl(f: float, d):
     """Free-space path loss in dB."""
-    if f <= 0 or d <= 0:
-        raise ValueError(f"frequency and distance must be positive, got {f}, {d}")
-    return 20.0 * math.log10(4.0 * math.pi * f * d / SPEED_OF_LIGHT)
+    d = np.asarray(d, dtype=float)
+    if f <= 0 or (d <= 0).any():
+        raise ValueError(f"frequency and distance must be positive, got {f}, {np.min(d)}")
+    return 20.0 * np.log10(4.0 * math.pi * f * d / SPEED_OF_LIGHT)
 
 
-def two_ray_simplified(geom: LinkGeometry) -> float:
-    """Flat-Earth two-ray path loss with reflection coefficient -1 and the
-    small-angle path-difference approximation (valid for d >> h_t, h_r).
+def two_ray_simplified(geom: LinkGeometry, d=None):
+    """Flat-Earth two-ray path loss at the distance(s) d (default ``geom.d``)
+    with reflection coefficient -1 and the small-angle path-difference
+    approximation (valid for d >> h_t, h_r).
     """
+    d = np.asarray(geom.d if d is None else d, dtype=float)
+    if (d <= 0).any():
+        raise ValueError(f"distance must be positive, got {np.min(d)}")
     lam = wavelength(geom)
-    s = math.sin(2.0 * math.pi * geom.h_t * geom.h_r / (lam * geom.d))
-    if s == 0.0:
-        return math.inf
-    return 20.0 * math.log10(4.0 * math.pi * geom.d / (lam * abs(2.0 * s)))
+    s = np.sin(2.0 * math.pi * geom.h_t * geom.h_r / (lam * d))
+    return 20.0 * _log10_ratio(4.0 * math.pi * d, lam * np.abs(2.0 * s))
 
 
-def _smith_shadowing(grazing_angle: float, beta0: float) -> float:
+def _smith_shadowing(grazing_angle, beta0: float):
     """Wave-shielding factor at grazing incidence (Smith's shadowing function)."""
-    t = math.tan(grazing_angle)
-    if beta0 <= 0:
-        return 1.0
+    t = np.tan(grazing_angle)
     a = t / (math.sqrt(2.0) * beta0)
-    lam = 0.5 * (math.sqrt(2.0 / math.pi) * (beta0 / t) * math.exp(-a * a) - erfc(a))
+    lam = 0.5 * (math.sqrt(2.0 / math.pi) * (beta0 / t) * np.exp(-a * a) - erfc(a))
     return (1.0 - 0.5 * erfc(a)) / (lam + 1.0)
 
 
 def mtr_factors(
     geom: LinkGeometry,
     sea: SeaStateParams,
-    h_t_eff: float | None = None,
-    h_r_eff: float | None = None,
+    h_t_eff=None,
+    h_r_eff=None,
     *,
+    d=None,
     divergence_form: str = "inverse-sqrt",
     phase_form: str = "path-difference",
 ) -> MtrFactors:
     """Sea-surface factors for the MTR model at (possibly wave-adjusted)
-    effective antenna heights.
+    effective antenna heights and the distance(s) d (default ``geom.d``).
 
     ``divergence_form``: "inverse-sqrt" (physical, D <= 1) or "as-printed"
     (literal published form, D >= 1).  ``phase_form``: "path-difference"
     (phi = 2*pi*delta_d/lambda) or "as-printed" (phi = 2*pi*delta_d/(lambda*d)).
     """
-    refl = reflection_geometry(geom, h_t_eff, h_r_eff)
+    refl = reflection_geometry(geom, h_t_eff, h_r_eff, d)
+    d = geom.d if d is None else np.asarray(d, dtype=float)
     lam = wavelength(geom)
     beta0 = 0.003 + 0.00512 * sea.v_w
     sigma_s = 0.0051 * sea.v_w**2
 
     base = 1.0 + 2.0 * refl.d1 * refl.d2 / (geom.effective_radius * (geom.h_t + geom.h_r))
     if divergence_form == "inverse-sqrt":
-        div = base ** -0.5
+        # not base ** -0.5: numpy's array power differs from its 0-d power in
+        # the last bit, and a series must equal its step-by-step evaluation
+        div = 1.0 / np.sqrt(base)
     elif divergence_form == "as-printed":
         div = base
     else:
@@ -155,13 +168,13 @@ def mtr_factors(
 
     # Miller-Brown roughness; I0 evaluated at |z| (I0 is even), scaled form
     # exp(-z)*I0(z) computed stably via i0e.
-    z = (4.0 * math.pi * sigma_s * math.sin(refl.grazing_angle)) ** 2 / (2.0 * lam**2)
-    rough = i0e(z)
+    g = 4.0 * math.pi * sigma_s * np.sin(refl.grazing_angle)
+    rough = i0e(g * g / (2.0 * lam**2))
 
     if phase_form == "path-difference":
         phase = 2.0 * math.pi * refl.delta_d / lam
     elif phase_form == "as-printed":
-        phase = 2.0 * math.pi * refl.delta_d / (lam * geom.d)
+        phase = 2.0 * math.pi * refl.delta_d / (lam * d)
     else:
         raise ValueError(f"unknown phase_form {phase_form!r}")
 
@@ -169,88 +182,82 @@ def mtr_factors(
                       phase=phase, beta0=beta0, sigma_s=sigma_s)
 
 
-def _mtr_interference_magnitude(factors: MtrFactors, gamma_refl: complex) -> float:
+def _mtr_interference_magnitude(factors: MtrFactors, gamma_refl: complex):
     """|1 + D*S*R*Gamma*exp(-j*phi)| for the composite two-ray sum."""
     term = (factors.divergence * factors.shadowing * factors.roughness
-            * gamma_refl * cmath.exp(-1j * factors.phase))
-    return abs(1.0 + term)
+            * gamma_refl * np.exp(-1j * factors.phase))
+    return np.abs(1.0 + term)
 
 
 def mtr_path_loss(
     geom: LinkGeometry,
     sea: SeaStateParams,
-    h_t_eff: float | None = None,
-    h_r_eff: float | None = None,
+    h_t_eff=None,
+    h_r_eff=None,
     *,
+    d=None,
     dsr_override: tuple[float, float, float] | None = None,
     divergence_form: str = "inverse-sqrt",
     phase_form: str = "path-difference",
-) -> float:
-    """Modified two-ray path loss in dB.
+):
+    """Modified two-ray path loss in dB at the effective heights and the
+    distance(s) d (default ``geom.d``).
 
     ``dsr_override`` substitutes (D, S, R) while keeping the geometric phase,
     which is how the model is degenerated to the idealized two-ray form.
     """
-    factors = mtr_factors(geom, sea, h_t_eff, h_r_eff,
+    factors = mtr_factors(geom, sea, h_t_eff, h_r_eff, d=d,
                           divergence_form=divergence_form, phase_form=phase_form)
     if dsr_override is not None:
         d_, s_, r_ = dsr_override
-        factors = MtrFactors(d_, s_, r_, factors.phase, factors.beta0, factors.sigma_s)
+        factors = replace(factors, divergence=d_, shadowing=s_, roughness=r_)
     mag = _mtr_interference_magnitude(factors, sea.gamma_refl)
-    if mag == 0.0:
-        return math.inf
-    lam = wavelength(geom)
-    return 20.0 * math.log10(4.0 * math.pi * geom.d / (lam * mag))
+    d = geom.d if d is None else np.asarray(d, dtype=float)
+    return 20.0 * _log10_ratio(4.0 * math.pi * d, wavelength(geom) * mag)
 
 
-def ci_path_loss(p: CiParams, f: float, d: float) -> float:
+def mtr_regressor(geom: LinkGeometry, sea: SeaStateParams, d, **mtr_kwargs):
+    """10*log10(4*pi*d / (lambda*|1 + D*S*R*Gamma*exp(-j*phi)|)) at the distance(s)
+    d, half the MTR loss: the per-unit-PLE regressor of the dual-slope CI-MTR
+    model.  +inf at interference nulls."""
+    return 0.5 * mtr_path_loss(geom, sea, d=d, **mtr_kwargs)
+
+
+def ci_path_loss(p: CiParams, f: float, d):
     """Close-in reference-distance path loss (deterministic mean), dB."""
-    if d < p.d0:
-        raise ValueError(f"distance {d} below reference distance {p.d0}")
-    return fspl(f, p.d0) + 10.0 * p.n * math.log10(d / p.d0)
+    d = np.asarray(d, dtype=float)
+    if (d < p.d0).any():
+        raise ValueError(f"distance {np.min(d)} below reference distance {p.d0}")
+    return fspl(f, p.d0) + 10.0 * p.n * np.log10(d / p.d0)
 
 
-def dual_ci_path_loss(p: DualSlopeParams, f: float, d: float, d0: float = 1.0) -> float:
+def dual_ci_path_loss(p: DualSlopeParams, f: float, d, d0: float = 1.0):
     """Dual-slope close-in path loss (deterministic mean), dB; continuous at
     the break distance by construction.
     """
-    if d < d0:
-        raise ValueError(f"distance {d} below reference distance {d0}")
-    anchor = fspl(f, d0)
-    if d <= p.d_break:
-        return anchor + 10.0 * p.n1 * math.log10(d / d0)
-    return (anchor + 10.0 * p.n1 * math.log10(p.d_break / d0)
-            + 10.0 * p.n2 * math.log10(d / p.d_break))
+    d = np.asarray(d, dtype=float)
+    if (d < d0).any():
+        raise ValueError(f"distance {np.min(d)} below reference distance {d0}")
+    near = fspl(f, d0) + 10.0 * p.n1 * np.log10(np.minimum(d, p.d_break) / d0)
+    return _second_slope(p, d, near)
 
 
-def dual_ci_mtr_path_loss(
-    p: DualSlopeParams,
-    geom: LinkGeometry,
-    sea: SeaStateParams,
-    d: float,
-    *,
-    divergence_form: str = "inverse-sqrt",
-    phase_form: str = "path-difference",
-) -> float:
+def _second_slope(p: DualSlopeParams, d: np.ndarray, near):
+    """``near``, the first segment at min(d, d_break), then slope n2 beyond the break."""
+    far = near + 10.0 * p.n2 * np.log10(d / p.d_break)
+    return np.where(d <= p.d_break, near, far)[()]
+
+
+def dual_ci_mtr_path_loss(p: DualSlopeParams, geom: LinkGeometry, sea: SeaStateParams, d,
+                          **mtr_kwargs):
     """Dual-slope CI-MTR path loss in dB: the MTR interference structure with
     an adaptive exponent n1 up to the break distance, then a second slope n2
-    anchored at the break-distance value.
+    anchored at the break-distance value.  ``mtr_kwargs`` choose the MTR forms
+    as in :func:`mtr_factors`.
     """
-    if d <= 0:
-        raise ValueError(f"distance must be positive, got {d}")
-
-    def segment_one(dist: float) -> float:
-        g = geom.at_distance(dist)
-        factors = mtr_factors(g, sea, divergence_form=divergence_form, phase_form=phase_form)
-        mag = _mtr_interference_magnitude(factors, sea.gamma_refl)
-        if mag == 0.0:
-            return math.inf
-        return 10.0 * p.n1 * math.log10(4.0 * math.pi * geom.f_c * dist / (SPEED_OF_LIGHT * mag))
-
-    if d <= p.d_break:
-        return segment_one(d)
-    anchor = segment_one(p.d_break)
-    return anchor + 10.0 * p.n2 * math.log10(d / p.d_break)
+    d = np.asarray(d, dtype=float)
+    near = p.n1 * mtr_regressor(geom, sea, np.minimum(d, p.d_break), **mtr_kwargs)
+    return _second_slope(p, d, near)
 
 
 def sample_shadow_fading(sigma_db: float, n: int, seed: int | None = None) -> np.ndarray:

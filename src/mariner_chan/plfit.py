@@ -12,15 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LinkGeometry, break_distance
-from .pathloss import (
-    CiParams,
-    DualSlopeParams,
-    SeaStateParams,
-    SPEED_OF_LIGHT,
-    _mtr_interference_magnitude,
-    fspl,
-    mtr_factors,
-)
+from .pathloss import CiParams, DualSlopeParams, SeaStateParams, fspl, mtr_regressor
+from .pathloss import mtr_factors  # noqa: F401  names the benchmark tracer wraps
 
 
 @dataclass(frozen=True)
@@ -104,18 +97,6 @@ def fit_dual_ci(samples: list[PathLossSample], f: float, d_break: float,
     return PlFitReport(params=params, rmse_db=rmse, n_samples=len(d), residuals=residuals)
 
 
-def mtr_regressor(geom: LinkGeometry, sea: SeaStateParams, d: float, **mtr_kwargs) -> float:
-    """10*log10 of the MTR interference-shaped distance term; the per-unit-PLE
-    regressor of the dual-slope CI-MTR model.  +inf at interference nulls.
-    """
-    g = geom.at_distance(d)
-    factors = mtr_factors(g, sea, **mtr_kwargs)
-    mag = _mtr_interference_magnitude(factors, sea.gamma_refl)
-    if mag == 0.0:
-        return math.inf
-    return 10.0 * math.log10(4.0 * math.pi * geom.f_c * d / (SPEED_OF_LIGHT * mag))
-
-
 def fit_dual_ci_mtr(samples: list[PathLossSample], geom: LinkGeometry,
                     sea: SeaStateParams, d_break: float | None = None,
                     **mtr_kwargs) -> PlFitReport:
@@ -129,9 +110,7 @@ def fit_dual_ci_mtr(samples: list[PathLossSample], geom: LinkGeometry,
     if d_break is None:
         d_break = break_distance(geom)
     d, pl = _as_arrays(samples)
-    g_break = mtr_regressor(geom, sea, d_break, **mtr_kwargs)
-    g = np.array([g_break if di > d_break else mtr_regressor(geom, sea, di, **mtr_kwargs)
-                  for di in d])
+    g = mtr_regressor(geom, sea, np.minimum(d, d_break), **mtr_kwargs)
     ok = np.isfinite(g)
     n_null = int(np.sum(~ok))
     d_ok, pl_ok, g_ok = d[ok], pl[ok], g[ok]
@@ -158,10 +137,11 @@ def fit_dual_ci_mtr(samples: list[PathLossSample], geom: LinkGeometry,
 
 
 def shadow_sigma(samples: list[PathLossSample], model_evaluator) -> float:
-    """RMS of (measured - model) in dB; ``model_evaluator`` maps distance to
-    model path loss.
+    """RMS of (measured - model) in dB; ``model_evaluator`` maps an array of
+    distances to model path losses.
     """
     if not samples:
         raise ValueError("need at least one sample")
-    residuals = np.array([s.pl_db - model_evaluator(s.d) for s in samples])
+    d, pl = _as_arrays(samples)
+    residuals = pl - model_evaluator(d)
     return float(np.sqrt(np.mean(residuals**2)))

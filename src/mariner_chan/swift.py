@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import LinkGeometry
-from .pathloss import SeaStateParams, mtr_path_loss
+from .pathloss import SeaStateParams, _log10_ratio, mtr_path_loss
 from .seastate import HarmonicSet, WaveSpectrumConfig, build_harmonics, surface_height
 
 
@@ -53,11 +53,11 @@ class MotionConfig:
 
 @dataclass(frozen=True)
 class RotationState:
-    """Instantaneous roll/pitch/yaw angles in radians."""
+    """Roll/pitch/yaw angles in radians, at one time or as arrays over times."""
 
-    phi: float
-    theta: float
-    psi: float
+    phi: float | np.ndarray
+    theta: float | np.ndarray
+    psi: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,21 +78,21 @@ class AntennaPattern:
         if np.any(np.asarray(self.gains) < 0):
             raise ValueError("pattern amplitude gains must be non-negative")
 
-    def gain(self, elevation: float) -> float:
-        return float(np.interp(elevation, self.elevations, self.gains))
+    def gain(self, elevation):
+        return np.interp(elevation, self.elevations, self.gains)
 
 
-def rotation_angles(m: MotionConfig, t: float) -> RotationState:
-    """Roll/pitch/yaw at time t under the sinusoidal motion model."""
+def rotation_angles(m: MotionConfig, t) -> RotationState:
+    """Roll/pitch/yaw at the time(s) t under the sinusoidal motion model."""
     return RotationState(
-        phi=m.amp_roll * math.sin(m.rate_roll * t + m.phase_roll),
-        theta=m.amp_pitch * math.sin(m.rate_pitch * t + m.phase_pitch),
-        psi=m.amp_yaw * math.sin(m.rate_yaw * t + m.phase_yaw),
+        phi=m.amp_roll * np.sin(m.rate_roll * t + m.phase_roll),
+        theta=m.amp_pitch * np.sin(m.rate_pitch * t + m.phase_pitch),
+        psi=m.amp_yaw * np.sin(m.rate_yaw * t + m.phase_yaw),
     )
 
 
 def rotation_matrix(s: RotationState) -> np.ndarray:
-    """Composite rotation Rz(psi) @ Ry(theta) @ Rx(phi)."""
+    """Composite rotation Rz(psi) @ Ry(theta) @ Rx(phi) at one time."""
     cf, sf = math.cos(s.phi), math.sin(s.phi)
     ct, st = math.cos(s.theta), math.sin(s.theta)
     cp, sp = math.cos(s.psi), math.sin(s.psi)
@@ -108,24 +108,24 @@ def los_direction(geom: LinkGeometry) -> np.ndarray:
     return np.array([math.cos(alpha0), 0.0, math.sin(alpha0)])
 
 
-def pattern_loss(s: RotationState, geom: LinkGeometry, p: AntennaPattern) -> float:
+def pattern_loss(s: RotationState, geom: LinkGeometry, p: AntennaPattern):
     """Antenna gain loss in dB (>= 0 for normalized patterns) from the rotated
     boresight; +inf where the pattern has a null at the queried elevation.
     """
-    u = rotation_matrix(s) @ los_direction(geom)
-    uz = min(1.0, max(-1.0, float(u[2])))
-    f = p.gain(math.asin(uz))
-    if f == 0.0:
-        return math.inf
-    return -20.0 * math.log10(f)
+    uz = np.clip(rotated_los_z(s, geom), -1.0, 1.0)
+    return -20.0 * _log10_ratio(p.gain(np.arcsin(uz)), 1.0)
 
 
-def polarization_loss(s: RotationState) -> float:
+def rotated_los_z(s: RotationState, geom: LinkGeometry):
+    """z component of rotation_matrix(s) @ los_direction(geom), in closed form
+    (yaw leaves it unchanged)."""
+    u = los_direction(geom)
+    return -np.sin(s.theta) * u[0] + np.cos(s.theta) * np.cos(s.phi) * u[2]
+
+
+def polarization_loss(s: RotationState):
     """Vertical-polarization mismatch loss in dB: -20*log10(|cos(theta)*cos(phi)|)."""
-    rho = abs(math.cos(s.theta) * math.cos(s.phi))
-    if rho == 0.0:
-        return math.inf
-    return -20.0 * math.log10(rho)
+    return -20.0 * _log10_ratio(np.abs(np.cos(s.theta) * np.cos(s.phi)), 1.0)
 
 
 def solve_effective_heights(geom: LinkGeometry, harmonics: HarmonicSet, times,
@@ -255,10 +255,10 @@ def simulate_swift(
 ) -> SwiftSeries:
     """Simulate the SWIFT fading series over ``duration`` seconds.
 
-    Solve the wave-adjusted reflection geometry over the whole time axis; per
-    step, evaluate the MTR received level at the effective heights and subtract
-    pattern and polarization losses; then de-mean the finite samples of the
-    collected series.
+    Solve the wave-adjusted reflection geometry over the whole time axis;
+    evaluate the MTR received level at the effective heights and subtract
+    pattern and polarization losses, each over the whole axis; then de-mean
+    the finite samples of the series.
     """
     if dt <= 0 or duration < dt:
         raise ValueError(f"need dt > 0 and duration >= dt, got {dt}, {duration}")
@@ -273,14 +273,9 @@ def simulate_swift(
 
     times = np.arange(0.0, duration + 0.5 * dt, dt)
     ht_eff, hr_eff, _ = solve_effective_heights(geom, harmonics, times)
-    level = np.empty_like(times)
-    # mtr_path_loss is scalar code: hand it Python floats
-    for i, (t, ht, hr) in enumerate(zip(times, ht_eff.tolist(), hr_eff.tolist())):
-        loss = mtr_path_loss(geom, sea, ht, hr)
-        state = rotation_angles(motion, t)
-        lg = pattern_loss(state, geom, pattern)
-        lp = polarization_loss(state)
-        level[i] = -loss - lg - lp
+    state = rotation_angles(motion, times)
+    level = (-mtr_path_loss(geom, sea, ht_eff, hr_eff) - pattern_loss(state, geom, pattern)
+             - polarization_loss(state))
 
     finite = np.isfinite(level)
     n_flagged = int(np.sum(~finite))

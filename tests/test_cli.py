@@ -377,7 +377,15 @@ def _invalid_inputs(tmp):
     (tmp / "negative_n1.json").write_text(json.dumps({"fit": {"n1": -1}}))
     (tmp / "bad_keys.json").write_text(json.dumps({"command": "geometry", "config": {}}))
     (tmp / "list.json").write_text("[1, 2]")
+    (tmp / "no_rate_yaw.json").write_text(json.dumps(_swift_manifest_without_rate_yaw(tmp)))
     save_iq(tmp / "rx.iq", np.ones(255, dtype=complex))
+
+
+def _swift_manifest_without_rate_yaw(tmp):
+    motion = {k: v for k, v in cli._MOTION_DEFAULTS.items() if k != "rate_yaw"}
+    config = {"geometry": cli._GEOMETRY_DEFAULTS, "sea": cli._SEA_DEFAULTS, "motion": motion,
+              "duration": 2.0, "dt": 0.1, "seed": 0, "out": str(tmp / "swift")}
+    return {"command": "swift-sim", "config": config}
 
 
 _INVALID = {
@@ -401,6 +409,7 @@ _INVALID = {
                                      "--bin-width", "-1"],
     "replay-bad-keys": ["replay", "{tmp}/bad_keys.json"],
     "replay-list": ["replay", "{tmp}/list.json"],
+    "replay-missing-block-key": ["replay", "{tmp}/no_rate_yaw.json"],
     "config-list": ["geometry", "--config", "{tmp}/list.json"],
 }
 
@@ -413,6 +422,24 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "manifest.json").exists()
+
+
+def test_replay_names_the_block_and_the_missing_key(tmp_path, capsys):
+    _invalid_inputs(tmp_path)
+    assert run("replay", str(tmp_path / "no_rate_yaw.json")) == 2
+    err = capsys.readouterr().err
+    assert "'motion'" in err and "rate_yaw" in err
+
+
+def test_flags_before_a_subcommand_take_effect(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_json(tmp_path / "config.json", {"seed": 4, "out": "from_config"})
+    assert run("sparsity", "--out", "mine", "lemma-check", "--n-trials", "5") == 0
+    assert (tmp_path / "mine" / "lemma_check.json").exists()
+    assert run("sparsity", "--config", "config.json", "lemma-check", "--n-trials", "5") == 0
+    manifest = json.loads((tmp_path / "from_config" / "manifest.json").read_text())
+    assert manifest["seed"] == 4
+    assert not (tmp_path / "out").exists()
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):

@@ -80,6 +80,8 @@ def test_reflection_geometry_effective_heights():
     assert r.d1 == pytest.approx(3000.0 * 20.0 / 25.0)
     with pytest.raises(ValueError):
         reflection_geometry(REF, h_t_eff=-1.0, h_r_eff=5.0)
+    with pytest.raises(ValueError):
+        reflection_geometry(REF, h_t_eff=[20.0, 0.0], h_r_eff=5.0)
 
 
 @given(

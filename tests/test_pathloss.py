@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from mariner_chan import cli
 from mariner_chan.geometry import LinkGeometry, SPEED_OF_LIGHT, break_distance
 from mariner_chan.pathloss import (
     CiParams,
@@ -167,3 +168,38 @@ def test_validation():
         fspl(5.8e9, 0.0)
     with pytest.raises(ValueError):
         sample_shadow_fading(-1.0, 10)
+
+
+def _sweep_evaluator(model, v_w):
+    """A ``pathloss eval`` model at the CLI's default link and parameters."""
+    return cli._pl_evaluator({"model": model, "geometry": cli._GEOMETRY_DEFAULTS,
+                              "sea": dict(cli._SEA_DEFAULTS, v_w=v_w), "params": {}})
+
+
+# the sea state reaches only the MTR models
+@pytest.mark.parametrize("model, v_w", [(m, v) for m in cli._PL_MODELS
+                                        for v in ((0.0, 7.7, 15.0) if "mtr" in m else (7.7,))])
+def test_array_sweep_matches_per_point_loop(model, v_w):
+    evaluate = _sweep_evaluator(model, v_w)
+    d = np.arange(1000.0, 33_800.0 + 0.5, 1.0)
+    swept = evaluate(d)
+    looped = np.array([evaluate(float(x)) for x in d])
+    assert swept.shape == d.shape
+    assert np.array_equal(np.isinf(swept), np.isinf(looped))
+    finite = np.isfinite(looped)
+    assert np.max(np.abs(swept[finite] - looped[finite])) <= 1e-12
+
+
+@pytest.mark.parametrize("model", cli._PL_MODELS)
+def test_scalar_distance_gives_a_scalar(model):
+    loss = _sweep_evaluator(model, 7.7)(3000.0)
+    assert isinstance(loss, float) and np.ndim(loss) == 0
+
+
+def test_non_positive_effective_height_in_an_array_raises():
+    sea = SeaStateParams(v_w=7.7)
+    ht = np.array([25.0, 24.0, 0.0, 23.0])
+    with pytest.raises(ValueError, match="effective antenna heights must be positive"):
+        mtr_path_loss(REF, sea, ht, np.full(4, 4.0))
+    with pytest.raises(ValueError, match="effective antenna heights must be positive"):
+        mtr_path_loss(REF, sea, np.full(4, 25.0), -ht)

@@ -26,6 +26,7 @@ from mariner_chan.swift import (
     los_direction,
     pattern_loss,
     polarization_loss,
+    rotated_los_z,
     rotation_angles,
     rotation_matrix,
     simulate_swift,
@@ -82,6 +83,17 @@ def test_pattern_loss_grows_with_tilt():
     losses = [pattern_loss(RotationState(0.0, th, 0.0), REF, p)
               for th in (0.0, 0.3, 0.6, 1.0)]
     assert losses == sorted(losses)
+
+
+def test_rotated_los_z_matches_the_rotation_matrix():
+    grid = np.linspace(-1.4, 1.4, 15)
+    for geom in (REF, LinkGeometry(5.8e9, 25.0, 1.0, 600.0)):
+        u = los_direction(geom)
+        for phi in grid:
+            for theta in grid:
+                for psi in grid:
+                    s = RotationState(phi, theta, psi)
+                    assert abs(rotated_los_z(s, geom) - (rotation_matrix(s) @ u)[2]) <= 1e-15
 
 
 def test_effective_heights_calm_sea():
