@@ -49,14 +49,9 @@ from .pathloss import (
 from .plfit import PathLossSample, fit_ci, fit_dual_ci, fit_dual_ci_mtr
 from .seastate import WaveSpectrumConfig
 from .smallscale import (
-    AsymLaplace,
+    FAMILIES,
     EnvelopeSamples,
     FadingModel,
-    Laplace,
-    Lognormal,
-    Nakagami,
-    Rician,
-    Twdp,
     fit_mle,
     ks_statistic,
     pdf_rmse,
@@ -172,18 +167,11 @@ def _sea_from(resolved: dict) -> SeaStateParams:
         raise ValidationError(f"invalid sea state: {exc}") from exc
 
 
-_FAMILY_CLASSES: dict[str, type] = {
-    "rician": Rician, "twdp": Twdp, "nakagami": Nakagami,
-    "lognormal": Lognormal, "laplace": Laplace, "asym-laplace": AsymLaplace,
-}
-
-
 def _fading_model(family: str, params: dict) -> FadingModel:
-    cls = _FAMILY_CLASSES.get(family)
-    if cls is None:
+    if family not in FAMILIES:
         raise ValidationError(f"unknown fading family {family!r}")
     try:
-        return cls(**params)
+        return FAMILIES[family][0](**params)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"invalid {family} parameters {params}: {exc}") from exc
 
@@ -476,7 +464,7 @@ def _opt(option: str, type: type, default=None) -> tuple[str, dict]:
     return (option, {"type": type, "default": default})
 
 
-_FAMILY = ("--family", {"required": True, "choices": sorted(_FAMILY_CLASSES)})
+_FAMILY = ("--family", {"required": True, "choices": sorted(FAMILIES)})
 _PARAMS = ("--params", {"required": True, "help": "JSON object of family parameters"})
 _ENVELOPE = _input("envelope CSV (amplitude)")
 _ZC = (_opt("--length", int, 65535), _opt("--root", int, 1), _opt("--delta-tau-ns", float, 50.0))

@@ -22,8 +22,8 @@ class PathLossSample:
     pl_db: float  # measured path loss, dB
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError(f"sample distance must be positive, got {self.d}")
+        if not (math.isfinite(self.d) and self.d > 0):
+            raise ValueError(f"sample distance must be positive and finite, got {self.d}")
         if not math.isfinite(self.pl_db):
             raise ValueError(f"sample path loss must be finite, got {self.pl_db}")
 

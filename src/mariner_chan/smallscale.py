@@ -2,27 +2,49 @@
 likelihood fitting, and goodness-of-fit statistics.
 
 Six families are supported: Rician, TWDP (two-wave with diffuse power),
-Nakagami-m, lognormal, Laplace, and asymmetric Laplace.  Amplitude data are
-normalized to unit mean before fitting, so fitted location parameters land
-near 1 for well-behaved envelopes.
+Nakagami-m, lognormal, Laplace, and asymmetric Laplace; ``FAMILIES`` maps
+each tag to its class and its fitter.  Amplitude data are normalized to unit
+mean before fitting, so fitted location parameters land near 1 for
+well-behaved envelopes.  Rician and Nakagami are fitted by the root of one
+likelihood equation each (Sijbers et al. for nu, Cheng and Beaulieu for m);
+where it has no interior root the fit returns the boundary MLE, s = 0
+(Rayleigh) or m = 0.5.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import optimize, stats
-from scipy.special import i0e
+from scipy.special import digamma, i0e, i1e
 
 
 # ---------------------------------------------------------------------------
 # model families
 # ---------------------------------------------------------------------------
 
+class _ScipyAmplitude:
+    """pdf, cdf, sampler and log-likelihood of an amplitude family through
+    the frozen scipy distribution its ``_dist()`` returns."""
+
+    def pdf(self, x):
+        return _amplitude_support(x, self._dist().pdf)
+
+    def cdf(self, x):
+        return _amplitude_support(x, self._dist().cdf)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self._dist().rvs(size=n, random_state=rng)
+
+    def loglik(self, x: np.ndarray) -> float:
+        return float(np.sum(self._dist().logpdf(x)))
+
+
 @dataclass(frozen=True)
-class Rician:
+class Rician(_ScipyAmplitude):
     s: float      # specular amplitude
     sigma: float  # diffuse scale
 
@@ -32,18 +54,6 @@ class Rician:
 
     def _dist(self):
         return stats.rice(self.s / self.sigma, scale=self.sigma)
-
-    def pdf(self, x):
-        return _amplitude_support(x, self._dist().pdf)
-
-    def cdf(self, x):
-        return _amplitude_support(x, self._dist().cdf, cdf=True)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._dist().rvs(size=n, random_state=rng)
-
-    def loglik(self, x: np.ndarray) -> float:
-        return float(np.sum(self._dist().logpdf(x)))
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,7 @@ class Twdp:
         return np.exp(_twdp_logpdf(u, self.k, self.delta, self.sigma))
 
     def cdf(self, x):
-        return _amplitude_support(x, self._cdf_positive, cdf=True)
+        return _amplitude_support(x, self._cdf_positive)
 
     def _cdf_positive(self, u: np.ndarray) -> np.ndarray:
         return _twdp_cdf(u, self.k, self.delta, self.sigma)
@@ -88,7 +98,7 @@ class Twdp:
 
 
 @dataclass(frozen=True)
-class Nakagami:
+class Nakagami(_ScipyAmplitude):
     mu: float     # shape m
     omega: float  # spread (mean square)
 
@@ -99,21 +109,9 @@ class Nakagami:
     def _dist(self):
         return stats.nakagami(self.mu, scale=math.sqrt(self.omega))
 
-    def pdf(self, x):
-        return _amplitude_support(x, self._dist().pdf)
-
-    def cdf(self, x):
-        return _amplitude_support(x, self._dist().cdf, cdf=True)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._dist().rvs(size=n, random_state=rng)
-
-    def loglik(self, x: np.ndarray) -> float:
-        return float(np.sum(self._dist().logpdf(x)))
-
 
 @dataclass(frozen=True)
-class Lognormal:
+class Lognormal(_ScipyAmplitude):
     mu: float     # mean of log amplitude
     sigma: float  # std of log amplitude
 
@@ -123,18 +121,6 @@ class Lognormal:
 
     def _dist(self):
         return stats.lognorm(self.sigma, scale=math.exp(self.mu))
-
-    def pdf(self, x):
-        return _amplitude_support(x, self._dist().pdf)
-
-    def cdf(self, x):
-        return _amplitude_support(x, self._dist().cdf, cdf=True)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._dist().rvs(size=n, random_state=rng)
-
-    def loglik(self, x: np.ndarray) -> float:
-        return float(np.sum(self._dist().logpdf(x)))
 
 
 @dataclass(frozen=True)
@@ -228,10 +214,8 @@ def _positive_draws(draw, n: int) -> np.ndarray:
 
 FadingModel = Rician | Twdp | Nakagami | Lognormal | Laplace | AsymLaplace
 
-_AMPLITUDE_FAMILIES = (Rician, Twdp, Nakagami, Lognormal)
 
-
-def _amplitude_support(x, fn, cdf: bool = False):
+def _amplitude_support(x, fn):
     """Evaluate fn on x >= 0 and zero-fill the negative axis."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(arr.shape, dtype=float)
@@ -359,6 +343,8 @@ class EnvelopeSamples:
         v = np.asarray(self.values, dtype=float)
         if v.size == 0:
             raise ValueError("empty sample set")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("amplitude samples must be finite (NaN or inf found)")
         if np.any(v <= 0):
             raise ValueError("amplitude samples must be positive")
         self.values = v / np.mean(v)
@@ -376,7 +362,7 @@ class FitReport:
     loglik: float
     converged: bool = True
     notes: list[str] = field(default_factory=list)
-    n_evals: int = 0                # objective evaluations made by the optimizer
+    n_evals: int = 0                # objective or residual evaluations made by the fitter
     quad_nodes: int | None = None   # TWDP: Gauss-Legendre nodes at the fitted model
 
     def to_dict(self) -> dict:
@@ -427,24 +413,28 @@ def pdf_rmse(data: EnvelopeSamples | np.ndarray, m: FadingModel, bins: int = 50)
 
 
 def rician_k_db(s: float, sigma: float) -> float:
-    """Rician K factor in dB from the envelope parameters: 10*log10(s^2/(2*sigma^2))."""
+    """Rician K factor in dB from the envelope parameters: 10*log10(s^2/(2*sigma^2)),
+    -inf at s = 0 (Rayleigh)."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    return 10.0 * math.log10(s**2 / (2.0 * sigma**2))
+    return 10.0 * math.log10(s**2 / (2.0 * sigma**2)) if s else -math.inf
 
 
 # ---------------------------------------------------------------------------
 # maximum likelihood fitting
 # ---------------------------------------------------------------------------
 
-def _fit_lognormal(x: np.ndarray) -> Lognormal:
+# Every fitter maps unit-mean samples to (model, converged, objective or
+# residual evaluations); converged is False only where a search can stop short.
+
+def _fit_lognormal(x: np.ndarray) -> tuple[Lognormal, bool, int]:
     logs = np.log(x)
-    return Lognormal(mu=float(np.mean(logs)), sigma=float(np.std(logs)))
+    return Lognormal(mu=float(np.mean(logs)), sigma=float(np.std(logs))), True, 0
 
 
-def _fit_laplace(x: np.ndarray) -> Laplace:
+def _fit_laplace(x: np.ndarray) -> tuple[Laplace, bool, int]:
     mu = float(np.median(x))
-    return Laplace(mu=mu, b=float(np.mean(np.abs(x - mu))))
+    return Laplace(mu=mu, b=float(np.mean(np.abs(x - mu)))), True, 0
 
 
 def _asym_laplace_scales(x: np.ndarray, mu: float) -> tuple[float, float]:
@@ -457,7 +447,7 @@ def _asym_laplace_scales(x: np.ndarray, mu: float) -> tuple[float, float]:
     return b1, b2
 
 
-def _fit_asym_laplace(x: np.ndarray) -> tuple[AsymLaplace, int]:
+def _fit_asym_laplace(x: np.ndarray) -> tuple[AsymLaplace, bool, int]:
     # the profile log-likelihood in mu is maximized where sqrt(s_l)+sqrt(s_r)
     # is minimal; that objective is piecewise smooth with its optimum at or
     # between sample points
@@ -470,48 +460,58 @@ def _fit_asym_laplace(x: np.ndarray) -> tuple[AsymLaplace, int]:
                                    method="bounded", options={"xatol": 1e-10})
     mu = float(res.x)
     b1, b2 = _asym_laplace_scales(x, mu)
-    return AsymLaplace(mu=mu, b1=b1, b2=b2), int(res.nfev)
+    return AsymLaplace(mu=mu, b1=b1, b2=b2), True, int(res.nfev)
 
 
-def _counting_fmin(counts: list[int]):
-    """scipy's default fit optimizer, optimize.fmin, that appends its
-    objective-evaluation count to ``counts``."""
-    def fmin(func, x0, args=(), disp=0):
-        xopt, _, _, n_evals, _ = optimize.fmin(func, x0, args=args, disp=disp,
-                                               full_output=True)
-        counts.append(n_evals)
-        return xopt
-    return fmin
+# lower-end trials before the Rician fit settles on s = 0: below
+# mean(x)/2**21 the likelihood differs from that at s = 0 by O(n*nu^4)
+_RICIAN_HALVINGS = 20
 
 
 def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
-    # moment initialization, then scipy's MLE with the location pinned at 0
-    mean2 = float(np.mean(x)) ** 2
-    msq = float(np.mean(x**2))
-    k0 = max(mean2 / max(msq - mean2, 1e-12) - 1.0, 0.1)
-    sigma0 = math.sqrt(msq / (2.0 * (1.0 + k0)))
-    s0 = math.sqrt(max(msq - 2.0 * sigma0**2, 1e-12))
-    counts: list[int] = []
-    try:
-        b, loc, scale = stats.rice.fit(x, s0 / sigma0, floc=0, scale=sigma0,
-                                       optimizer=_counting_fmin(counts))
-        return Rician(s=float(b * scale), sigma=float(scale)), True, sum(counts)
-    except Exception:
-        return Rician(s=s0, sigma=sigma0), False, sum(counts)
+    """The likelihood equations of Sijbers et al. (IEEE TMI 1998):
+    sigma^2 = (mean(x^2) - nu^2)/2 and nu = mean(x*I1/I0(x*nu/sigma^2)),
+    one root in nu.  Near sqrt(mean(x^2)) the residual is negative (Jensen);
+    nu = 0 is always a trivial root, so the lower end starts at mean(x)/2
+    and is halved while the residual is <= 0.  If no positive lower end is
+    found, s = 0 (Rayleigh) is the boundary MLE.
+    """
+    msq = float(np.mean(x * x))
+
+    def residual(nu: float) -> float:
+        z = x * (nu / (0.5 * (msq - nu * nu)))
+        return float(np.mean(x * i1e(z) / i0e(z))) - nu
+
+    lo = 0.5 * float(np.mean(x))
+    for tries in range(1, _RICIAN_HALVINGS + 1):
+        if residual(lo) > 0:
+            break
+        lo *= 0.5
+    else:
+        return Rician(s=0.0, sigma=math.sqrt(0.5 * msq)), True, tries
+    nu, res = optimize.brentq(residual, lo, math.sqrt(msq) * (1.0 - 1e-12), full_output=True)
+    return Rician(s=nu, sigma=math.sqrt(0.5 * (msq - nu * nu))), True, tries + res.function_calls
 
 
 def _fit_nakagami(x: np.ndarray) -> tuple[Nakagami, bool, int]:
-    x2 = x**2
-    omega0 = float(np.mean(x2))
-    var2 = float(np.var(x2))
-    mu0 = max(omega0**2 / max(var2, 1e-12), 0.5)
-    counts: list[int] = []
-    try:
-        nu, loc, scale = stats.nakagami.fit(x, mu0, floc=0, scale=math.sqrt(omega0),
-                                            optimizer=_counting_fmin(counts))
-        return Nakagami(mu=max(float(nu), 0.5), omega=float(scale**2)), True, sum(counts)
-    except Exception:
-        return Nakagami(mu=mu0, omega=omega0), False, sum(counts)
+    """Omega = mean(x^2), and m solves ln m - psi(m) = ln Omega - mean(ln x^2)
+    (Cheng and Beaulieu, IEEE Commun. Lett. 2001).  ln m - psi(m) falls from
+    +inf to 0 and lies below 1/m, so the root is bracketed by [0.5, 1/rhs].
+    When the residual at m = 0.5 is <= 0, m = 0.5 is the constrained MLE.
+    """
+    x2 = x * x
+    omega = float(np.mean(x2))
+    rhs = math.log(omega) - float(np.mean(np.log(x2)))
+
+    def residual(m: float) -> float:
+        return math.log(m) - float(digamma(m)) - rhs
+
+    if residual(0.5) <= 0:
+        return Nakagami(mu=0.5, omega=omega), True, 1
+    if rhs <= 0:
+        raise ValueError("samples too concentrated to fit the Nakagami shape")
+    mu, res = optimize.brentq(residual, 0.5, 1.0 / rhs, full_output=True)
+    return Nakagami(mu=mu, omega=omega), True, 1 + res.function_calls
 
 
 def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool, int]:
@@ -570,38 +570,36 @@ def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool, int]:
     return model, bool(res.success), n_evals
 
 
-_FAMILY_TAGS = ("rician", "twdp", "nakagami", "lognormal", "laplace", "asym-laplace")
+# tag -> (model class, fitter)
+FAMILIES: dict[str, tuple[type, Callable[[np.ndarray], tuple]]] = {
+    "rician": (Rician, _fit_rician),
+    "twdp": (Twdp, _fit_twdp),
+    "nakagami": (Nakagami, _fit_nakagami),
+    "lognormal": (Lognormal, _fit_lognormal),
+    "laplace": (Laplace, _fit_laplace),
+    "asym-laplace": (AsymLaplace, _fit_asym_laplace),
+}
 
 
 def fit_mle(family: str, data: EnvelopeSamples, min_samples: int = 30) -> FitReport:
     """Maximum likelihood fit of one distribution family to envelope samples.
 
-    Closed forms where available, moment-initialized numeric likelihood ascent
-    otherwise; the report always carries the K-S statistic, PDF RMSE, and
+    Lognormal and Laplace in closed form; the asymmetric Laplace location by
+    a bounded scalar search; Rician and Nakagami by one root of their
+    likelihood equations, with the boundary MLEs s = 0 and m = 0.5 where the
+    equation has no interior root; TWDP by a multi-start simplex search.
+    The report always carries the K-S statistic, PDF RMSE, and
     log-likelihood of the returned model.
     """
-    if family not in _FAMILY_TAGS:
-        raise ValueError(f"unknown family {family!r}; expected one of {_FAMILY_TAGS}")
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     x = data.values
     if x.size < min_samples:
         raise ValueError(f"need at least {min_samples} samples, got {x.size}")
     if float(np.std(x)) == 0.0:
         raise ValueError("degenerate constant data: zero variance")
 
-    converged, n_evals = True, 0
-    if family == "lognormal":
-        model = _fit_lognormal(x)
-    elif family == "laplace":
-        model = _fit_laplace(x)
-    elif family == "asym-laplace":
-        model, n_evals = _fit_asym_laplace(x)
-    elif family == "rician":
-        model, converged, n_evals = _fit_rician(x)
-    elif family == "nakagami":
-        model, converged, n_evals = _fit_nakagami(x)
-    else:
-        model, converged, n_evals = _fit_twdp(x)
-
+    model, converged, n_evals = FAMILIES[family][1](x)
     report = FitReport(model=model, ks=ks_statistic(data, model),
                        pdf_rmse=pdf_rmse(data, model), loglik=model.loglik(x),
                        converged=converged, n_evals=n_evals,

@@ -374,6 +374,8 @@ def _invalid_inputs(tmp):
     (tmp / "one_row.csv").write_text("t_s,fading_db\n0.0,1.5\n")
     (tmp / "series.csv").write_text("t_s,fading_db\n0.0,0.5\n0.1,1.5\n0.2,-0.3\n")
     (tmp / "envelope.csv").write_text("amplitude\n0.9\n1.0\n1.1\n1.2\n")
+    (tmp / "nan_envelope.csv").write_text("amplitude\n" + "1.0\n" * 40 + "nan\n")
+    (tmp / "nan_distance.csv").write_text("d_m,pl_db\n100.0,80.0\nnan,90.0\n1000.0,100.0\n")
     (tmp / "negative_n1.json").write_text(json.dumps({"fit": {"n1": -1}}))
     (tmp / "bad_keys.json").write_text(json.dumps({"command": "geometry", "config": {}}))
     (tmp / "list.json").write_text("[1, 2]")
@@ -398,6 +400,10 @@ _INVALID = {
     "gof-one-bin": ["smallscale", "gof", "--family", "rician",
                     "--params", '{"s": 1.0, "sigma": 0.1}', "--input", "{tmp}/envelope.csv",
                     "--bins", "1"],
+    "pathloss-fit-nan-distance": ["pathloss", "fit", "--model", "ci",
+                                  "--input", "{tmp}/nan_distance.csv"],
+    "smallscale-fit-nan-amplitude": ["smallscale", "fit", "--family", "rician",
+                                     "--input", "{tmp}/nan_envelope.csv"],
     "extract-zero-taps": ["sounder", "extract", "--length", "255", "--input", "{tmp}/rx.iq",
                           "--max-taps", "0"],
     "extract-negative-taps": ["sounder", "extract", "--length", "255",

@@ -125,3 +125,5 @@ def test_sample_validation():
         PathLossSample(-1.0, 100.0)
     with pytest.raises(ValueError):
         PathLossSample(100.0, math.inf)
+    with pytest.raises(ValueError):
+        PathLossSample(math.nan, 100.0)

@@ -78,6 +78,11 @@ def test_rician_k_db_anchor():
     assert rician_k_db(0.994, 0.081) == pytest.approx(18.806, abs=0.1)
 
 
+def test_rician_k_db_is_minus_inf_without_a_specular_part():
+    # K = 0: the Rician fit returns s = 0 for Rayleigh-like data
+    assert rician_k_db(0.0, 0.5) == -math.inf
+
+
 @given(v1=st.floats(0.1, 3.0), frac=st.floats(0.0, 1.0),
        sigma=st.floats(0.01, 1.0))
 def test_voltage_parameter_round_trip(v1, frac, sigma):
@@ -97,6 +102,9 @@ def test_envelope_samples_normalized_to_unit_mean():
         EnvelopeSamples(np.array([]))
     with pytest.raises(ValueError):
         EnvelopeSamples(np.array([1.0, -0.5]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EnvelopeSamples(np.array([1.0, bad]))
 
 
 def test_ks_statistic_oracle():
@@ -133,6 +141,56 @@ def test_mle_round_trip_fast(family, model, atts):
     assert math.isfinite(rep.loglik)
 
 
+def _scipy_generic_fit(model, x, c):
+    """scipy's generic rv_continuous.fit of unit-mean data x, started at the
+    generating model scaled by 1/c, with the location pinned at 0 and the
+    Nakagami shape clamped to 0.5."""
+    if isinstance(model, Rician):
+        b, _, scale = stats.rice.fit(x, model.s / model.sigma, floc=0, scale=model.sigma / c)
+        return Rician(s=b * scale, sigma=scale)
+    nu, _, scale = stats.nakagami.fit(x, model.mu, floc=0, scale=math.sqrt(model.omega) / c)
+    return Nakagami(mu=max(nu, 0.5), omega=scale**2)
+
+
+@pytest.mark.parametrize("family,model", [
+    ("rician", Rician(s=0.994, sigma=0.081)), ("rician", Rician(s=0.3, sigma=0.5)),
+    ("rician", Rician(s=0.0, sigma=0.5)), ("nakagami", Nakagami(mu=32.031, omega=1.015)),
+    ("nakagami", Nakagami(mu=0.5, omega=1.0)), ("nakagami", Nakagami(mu=1.2, omega=1.0)),
+], ids=str)
+def test_likelihood_equation_fit_not_below_scipys_generic_fit(family, model):
+    n = 2000
+    for seed in range(10):
+        x = sample(model, n, seed=seed)
+        data = EnvelopeSamples(x)
+        reference = _scipy_generic_fit(model, data.values, float(np.mean(x)))
+        rep = fit_mle(family, data)
+        assert rep.loglik >= reference.loglik(data.values) - 1e-9 * n, seed
+        assert rep.converged and rep.n_evals > 0
+
+
+def test_nakagami_fit_returns_the_boundary_shape():
+    # log-spread data: ln mean(x^2) - mean(ln x^2) exceeds ln 0.5 - psi(0.5)
+    data = EnvelopeSamples(np.geomspace(1e-3, 1.0, 200))
+    rep = fit_mle("nakagami", data)
+    assert rep.model.mu == 0.5
+    assert rep.model.omega == pytest.approx(float(np.mean(data.values**2)), rel=1e-12)
+    assert rep.n_evals == 1
+
+
+def test_rician_fit_on_rayleigh_data():
+    boundary = 0
+    for seed in range(10):
+        data = EnvelopeSamples(sample(Rician(s=0.0, sigma=0.5), 2000, seed=seed))
+        rep = fit_mle("rician", data)
+        assert isinstance(rep.model, Rician) and rep.model.s >= 0
+        assert math.isfinite(rep.loglik)
+        if rep.model.s == 0:
+            # no interior root: the boundary MLE, sigma^2 = mean(x^2)/2
+            boundary += 1
+            assert 2 * rep.model.sigma**2 == pytest.approx(np.mean(data.values**2), rel=1e-12)
+    assert boundary > 0
+
+
 def test_twdp_mle_round_trip_moderate_n():
     model = Twdp(k=10.0, delta=0.7, sigma=0.1)
     x = sample(model, 20_000, seed=5)
@@ -158,6 +216,9 @@ def test_fit_mle_validation():
         fit_mle("rician", EnvelopeSamples(np.linspace(0.9, 1.1, 5)))
     with pytest.raises(ValueError):
         fit_mle("rician", EnvelopeSamples(np.full(100, 2.0)))
+    # ln mean(x^2) - mean(ln x^2) rounds below zero: no Nakagami shape solves it
+    with pytest.raises(ValueError, match="concentrated"):
+        fit_mle("nakagami", EnvelopeSamples(np.linspace(1 - 1e-9, 1 + 1e-9, 200)))
 
 
 def test_parameter_validation():
