@@ -16,6 +16,9 @@ CSV schemas (headers mandatory, full round-trip decimal precision):
   pdp:       delay_ns,power_linear
   envelope:  amplitude
   swift:     t_s,fading_db
+Columns are read by header name, in any order; extra columns are ignored and
+blank lines skipped.  A row that lacks a requested column, or a value that is
+not a number, exits 2.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .pathloss import (
     mtr_path_loss,
     two_ray_simplified,
 )
-from .plfit import PathLossSample, fit_ci, fit_dual_ci, fit_dual_ci_mtr
+from .plfit import fit_ci, fit_dual_ci, fit_dual_ci_mtr
 from .seastate import WaveSpectrumConfig
 from .smallscale import (
     FAMILIES,
@@ -84,12 +87,12 @@ def worker_count() -> int:
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """One column per ``{header: array}`` entry, each float as its shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        writer.writerow(columns)
+        writer.writerows(zip(*(c.tolist() for c in columns.values())))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -99,19 +102,21 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _read_csv_columns(path: str, columns: list[str]) -> list[np.ndarray]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in columns if c not in (reader.fieldnames or [])]
-            if missing:
-                raise ValidationError(f"{path}: missing CSV columns {missing}")
-            rows = [[float(r[c]) for c in columns] for r in reader]
-    except ValueError as exc:
-        raise ValidationError(f"{path}: non-numeric CSV value ({exc})") from exc
-    if not rows:
+    """The named columns of a CSV file, as float arrays in the order asked for."""
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]))
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValidationError(f"{path}: missing CSV columns {missing}")
+        lines = fh.read().splitlines()
+    if not any(lines):
         raise ValidationError(f"{path}: no data rows")
-    arr = np.array(rows, dtype=float)
-    return [arr[:, i] for i in range(len(columns))]
+    try:
+        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                           ndmin=2, usecols=[header.index(c) for c in columns])
+    except ValueError as exc:  # a non-numeric value, or a row without a requested column
+        raise ValidationError(f"{path}: non-numeric or missing CSV value ({exc})") from exc
+    return list(table.T)
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -252,7 +257,7 @@ def _run_pathloss_eval(resolved: dict) -> None:
     distances = np.arange(dmin, dmax + 0.5 * step, step)
     pl = evaluate(distances)
     out = _outdir(resolved)
-    _write_csv(out / "pathloss.csv", ["d_m", "pl_db"], zip(distances.tolist(), pl.tolist()))
+    _write_csv(out / "pathloss.csv", {"d_m": distances, "pl_db": pl})
 
 
 def _run_pathloss_fit(resolved: dict) -> None:
@@ -260,13 +265,12 @@ def _run_pathloss_fit(resolved: dict) -> None:
     geom = _geometry_from(resolved["geometry"])
     sea = _sea_from(resolved["sea"])
     model, d0 = resolved["model"], resolved["d0"]
-    samples = [PathLossSample(di, pli) for di, pli in zip(d, pl)]
     if model == "ci":
-        report = fit_ci(samples, geom.f_c, d0)
+        report = fit_ci(d, pl, geom.f_c, d0)
         params = {"n": report.params.n, "d0": report.params.d0}
     elif model in ("dual-ci", "dual-ci-mtr"):
-        report = (fit_dual_ci(samples, geom.f_c, break_distance(geom), d0) if model == "dual-ci"
-                  else fit_dual_ci_mtr(samples, geom, sea))
+        report = (fit_dual_ci(d, pl, geom.f_c, break_distance(geom), d0) if model == "dual-ci"
+                  else fit_dual_ci_mtr(d, pl, geom, sea))
         params = {"n1": report.params.n1, "n2": report.params.n2,
                   "d_break_m": report.params.d_break}
     else:
@@ -295,16 +299,14 @@ def _run_swift_sim(resolved: dict) -> None:
                             duration=resolved["duration"], dt=resolved["dt"],
                             seed=seed, sea=sea)
     out = _outdir(resolved)
-    _write_csv(out / "swift.csv", ["t_s", "fading_db"],
-               zip(series.t.tolist(), series.fading_db.tolist()))
+    _write_csv(out / "swift.csv", {"t_s": series.t, "fading_db": series.fading_db})
 
 
 def _run_swift_pdf(resolved: dict) -> None:
     (fading,) = _read_csv_columns(resolved["input"], ["fading_db"])
     centers, density = empirical_pdf(fading, resolved["bin_width"])
     out = _outdir(resolved)
-    _write_csv(out / "swift_pdf.csv", ["bin_center_db", "density"],
-               zip(centers.tolist(), density.tolist()))
+    _write_csv(out / "swift_pdf.csv", {"bin_center_db": centers, "density": density})
 
 
 def _run_smallscale_fit(resolved: dict) -> None:
@@ -318,7 +320,7 @@ def _run_smallscale_sample(resolved: dict) -> None:
     model = _fading_model(resolved["family"], resolved["params"])
     draws = sample_fading(model, resolved["n"], resolved["seed"])
     out = _outdir(resolved)
-    _write_csv(out / "envelope.csv", ["amplitude"], ((float(v),) for v in draws))
+    _write_csv(out / "envelope.csv", {"amplitude": draws})
 
 
 def _run_smallscale_gof(resolved: dict) -> None:
@@ -402,8 +404,7 @@ def _run_sounder_sim(resolved: dict) -> None:
                        snr_db=resolved["snr_db"], seed=resolved["seed"] + 1)
     out = _outdir(resolved)
     save_iq(out / "rx.iq", rx)
-    _write_csv(out / "true_pdp.csv", ["delay_ns", "power_linear"],
-               zip((pdp.delays * 1e9).tolist(), pdp.powers.tolist()))
+    _write_csv(out / "true_pdp.csv", {"delay_ns": pdp.delays * 1e9, "power_linear": pdp.powers})
 
 
 def _run_sounder_extract(resolved: dict) -> None:
@@ -412,8 +413,7 @@ def _run_sounder_extract(resolved: dict) -> None:
     cir = extract_cir(rx, cfg, delta_tau=resolved["delta_tau_ns"] * 1e-9)
     pdp = pdp_from_cir(cir, max_taps=resolved["max_taps"])
     out = _outdir(resolved)
-    _write_csv(out / "pdp.csv", ["delay_ns", "power_linear"],
-               zip((pdp.delays * 1e9).tolist(), pdp.powers.tolist()))
+    _write_csv(out / "pdp.csv", {"delay_ns": pdp.delays * 1e9, "power_linear": pdp.powers})
 
 
 def _run_decompose(resolved: dict) -> None:
@@ -421,10 +421,8 @@ def _run_decompose(resolved: dict) -> None:
     ids = np.unique(group_ids)
     swift_db, small = decompose_scales([amps[group_ids == gid] for gid in ids])
     out = _outdir(resolved)
-    _write_csv(out / "swift_deviations.csv", ["group", "fading_db"],
-               zip([int(g) for g in ids], swift_db.tolist()))
-    flat = np.concatenate(small)
-    _write_csv(out / "smallscale.csv", ["amplitude"], ((float(v),) for v in flat))
+    _write_csv(out / "swift_deviations.csv", {"group": ids.astype(int), "fading_db": swift_db})
+    _write_csv(out / "smallscale.csv", {"amplitude": np.concatenate(small)})
 
 
 # ---------------------------------------------------------------------------

@@ -498,17 +498,29 @@ def _fit_nakagami(x: np.ndarray) -> tuple[Nakagami, bool, int]:
     (Cheng and Beaulieu, IEEE Commun. Lett. 2001).  ln m - psi(m) falls from
     +inf to 0 and lies below 1/m, so the root is bracketed by [0.5, 1/rhs].
     When the residual at m = 0.5 is <= 0, m = 0.5 is the constrained MLE.
+
+    With r = x^2/Omega, mean(r - 1) = 0, so rhs = mean(r - 1 - ln r), free of
+    the cancellation between ln Omega and mean(ln x^2).  Rounding x^2 bounds
+    the relative error of rhs, and so of m, by 2*eps*mean|r - 1|/rhs; m is
+    returned when that bound is below 1e-7, else the samples are too
+    concentrated and a ValueError is raised.
     """
     x2 = x * x
     omega = float(np.mean(x2))
-    rhs = math.log(omega) - float(np.mean(np.log(x2)))
+    r = x2 / omega
+    rhs = float(np.mean((r - 1.0) - np.log(r)))
 
     def residual(m: float) -> float:
-        return math.log(m) - float(digamma(m)) - rhs
+        if m < 100.0:
+            return math.log(m) - float(digamma(m)) - rhs
+        # the asymptotic series (truncation below 1e-16 relative): ln m - psi(m),
+        # about 1/(2m), falls under the rounding of ln m as m grows
+        w = 1.0 / (m * m)
+        return 0.5 / m + w * (1.0 / 12.0 - w * (1.0 / 120.0 - w / 252.0)) - rhs
 
     if residual(0.5) <= 0:
         return Nakagami(mu=0.5, omega=omega), True, 1
-    if rhs <= 0:
+    if not 2.0 * np.finfo(float).eps * float(np.mean(np.abs(r - 1.0))) < 1e-7 * rhs:
         raise ValueError("samples too concentrated to fit the Nakagami shape")
     mu, res = optimize.brentq(residual, 0.5, 1.0 / rhs, full_output=True)
     return Nakagami(mu=mu, omega=omega), True, 1 + res.function_calls

@@ -22,7 +22,7 @@ from mariner_chan.pathloss import (
     sample_shadow_fading,
     two_ray_simplified,
 )
-from mariner_chan.plfit import PathLossSample, fit_dual_ci_mtr
+from mariner_chan.plfit import fit_dual_ci_mtr
 from mariner_chan.seastate import WaveSpectrumConfig
 from mariner_chan.smallscale import (
     AsymLaplace,
@@ -120,9 +120,7 @@ def test_criterion_3_fit_recovery():
         e1, e2, es = [], [], []
         for seed in range(20):
             sf = sample_shadow_fading(4.0, d.size, seed=seed)
-            samples = [PathLossSample(float(di), float(pi + si))
-                       for di, pi, si, f in zip(d, clean, sf, finite) if f]
-            rep = fit_dual_ci_mtr(samples, REF, sea)
+            rep = fit_dual_ci_mtr(d[finite], (clean + sf)[finite], REF, sea)
             e1.append(abs(rep.params.n1 - n1t))
             e2.append(abs(rep.params.n2 - n2t))
             es.append(abs(rep.rmse_db - 4.0))

@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mariner_chan import cli
 from mariner_chan.cli import _write_json, main, worker_count
@@ -324,6 +325,26 @@ def test_dual_ci_mtr_fit_without_samples_beyond_the_break(tmp_path):
         assert report["warnings"] == ["no samples beyond the break distance; n2 unset"]
 
 
+# signed zero, the smallest subnormal and a negative subnormal, both infinities, nan
+_CSV_EDGES = [-0.0, 5e-324, -1e-310, math.inf, -math.inf, math.nan]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(rows=st.lists(st.tuples(_FINITE, _FINITE), max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_csv_columns_round_trip_bit_for_bit(tmp_path_factory, rows):
+    a, b = np.array(rows + list(zip(_CSV_EDGES, reversed(_CSV_EDGES)))).T
+    path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+    cli._write_csv(path, {"a": a, "b": b})
+    for back, column in zip(cli._read_csv_columns(str(path), ["a", "b"]), (a, b)):
+        assert back.tobytes() == column.tobytes()
+    # columns are found by name: reordered, padded with an extra column, blank lines between
+    lines = ["b,extra,a", *(f"{y!r},pad,{x!r}" for x, y in zip(a.tolist(), b.tolist()))]
+    path.write_text("\n\n".join(lines) + "\n")
+    for back, column in zip(cli._read_csv_columns(str(path), ["a", "b"]), (a, b)):
+        assert back.tobytes() == column.tobytes()
+
+
 def _one_run_per_command(tmp):
     """Small argv for every command, in an order where each input exists."""
     (tmp / "grouped.csv").write_text("group,amplitude\n0,1.0\n0,1.2\n1,2.0\n1,2.4\n")
@@ -376,6 +397,7 @@ def _invalid_inputs(tmp):
     (tmp / "envelope.csv").write_text("amplitude\n0.9\n1.0\n1.1\n1.2\n")
     (tmp / "nan_envelope.csv").write_text("amplitude\n" + "1.0\n" * 40 + "nan\n")
     (tmp / "nan_distance.csv").write_text("d_m,pl_db\n100.0,80.0\nnan,90.0\n1000.0,100.0\n")
+    (tmp / "short_row.csv").write_text("d_m,pl_db\n1000,100\n2000\n3000,110\n")
     (tmp / "negative_n1.json").write_text(json.dumps({"fit": {"n1": -1}}))
     (tmp / "bad_keys.json").write_text(json.dumps({"command": "geometry", "config": {}}))
     (tmp / "list.json").write_text("[1, 2]")
@@ -402,6 +424,7 @@ _INVALID = {
                     "--bins", "1"],
     "pathloss-fit-nan-distance": ["pathloss", "fit", "--model", "ci",
                                   "--input", "{tmp}/nan_distance.csv"],
+    "short-row": ["pathloss", "fit", "--model", "ci", "--input", "{tmp}/short_row.csv"],
     "smallscale-fit-nan-amplitude": ["smallscale", "fit", "--family", "rician",
                                      "--input", "{tmp}/nan_envelope.csv"],
     "extract-zero-taps": ["sounder", "extract", "--length", "255", "--input", "{tmp}/rx.iq",

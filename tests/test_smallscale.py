@@ -216,9 +216,18 @@ def test_fit_mle_validation():
         fit_mle("rician", EnvelopeSamples(np.linspace(0.9, 1.1, 5)))
     with pytest.raises(ValueError):
         fit_mle("rician", EnvelopeSamples(np.full(100, 2.0)))
-    # ln mean(x^2) - mean(ln x^2) rounds below zero: no Nakagami shape solves it
+    # rounding bounds ln mean(x^2) - mean(ln x^2) here only to about 7e-7 of itself
     with pytest.raises(ValueError, match="concentrated"):
         fit_mle("nakagami", EnvelopeSamples(np.linspace(1 - 1e-9, 1 + 1e-9, 200)))
+
+
+# the shape that solves the likelihood equation for np.linspace(1 - a, 1 + a, 100),
+# from a 60-digit evaluation of ln mean(x^2) - mean(ln x^2) and of ln m - psi(m)
+@pytest.mark.parametrize("a, m", [(1e-4, 7.351485160184938e7), (1e-7, 7.351485147555494e13),
+                                  (1e-8, 7.351485151744659e15)])
+def test_nakagami_shape_of_a_nearly_constant_envelope(a, m):
+    report = fit_mle("nakagami", EnvelopeSamples(np.linspace(1 - a, 1 + a, 100)))
+    assert report.model.mu == pytest.approx(m, rel=1e-7)
 
 
 def test_parameter_validation():
