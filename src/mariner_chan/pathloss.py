@@ -216,11 +216,11 @@ def mtr_path_loss(
     return 20.0 * _log10_ratio(4.0 * math.pi * d, wavelength(geom) * mag)
 
 
-def mtr_regressor(geom: LinkGeometry, sea: SeaStateParams, d, **mtr_kwargs):
+def mtr_regressor(geom: LinkGeometry, sea: SeaStateParams, d):
     """10*log10(4*pi*d / (lambda*|1 + D*S*R*Gamma*exp(-j*phi)|)) at the distance(s)
     d, half the MTR loss: the per-unit-PLE regressor of the dual-slope CI-MTR
     model.  +inf at interference nulls."""
-    return 0.5 * mtr_path_loss(geom, sea, d=d, **mtr_kwargs)
+    return 0.5 * mtr_path_loss(geom, sea, d=d)
 
 
 def ci_path_loss(p: CiParams, f: float, d):
@@ -248,15 +248,13 @@ def _second_slope(p: DualSlopeParams, d: np.ndarray, near):
     return np.where(d <= p.d_break, near, far)[()]
 
 
-def dual_ci_mtr_path_loss(p: DualSlopeParams, geom: LinkGeometry, sea: SeaStateParams, d,
-                          **mtr_kwargs):
+def dual_ci_mtr_path_loss(p: DualSlopeParams, geom: LinkGeometry, sea: SeaStateParams, d):
     """Dual-slope CI-MTR path loss in dB: the MTR interference structure with
     an adaptive exponent n1 up to the break distance, then a second slope n2
-    anchored at the break-distance value.  ``mtr_kwargs`` choose the MTR forms
-    as in :func:`mtr_factors`.
+    anchored at the break-distance value.
     """
     d = np.asarray(d, dtype=float)
-    near = p.n1 * mtr_regressor(geom, sea, np.minimum(d, p.d_break), **mtr_kwargs)
+    near = p.n1 * mtr_regressor(geom, sea, np.minimum(d, p.d_break))
     return _second_slope(p, d, near)
 
 

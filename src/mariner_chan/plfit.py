@@ -102,7 +102,7 @@ def fit_dual_ci(d, pl, f: float, d_break: float, d0: float = 1.0) -> PlFitReport
 
 
 def fit_dual_ci_mtr(d, pl, geom: LinkGeometry, sea: SeaStateParams,
-                    d_break: float | None = None, **mtr_kwargs) -> PlFitReport:
+                    d_break: float | None = None) -> PlFitReport:
     """Joint OLS fit of (n1, n2) for the dual-slope CI-MTR model.  The break
     distance is taken from the link geometry unless given explicitly.
 
@@ -113,7 +113,7 @@ def fit_dual_ci_mtr(d, pl, geom: LinkGeometry, sea: SeaStateParams,
     if d_break is None:
         d_break = break_distance(geom)
     d, pl = _samples(d, pl)
-    g = mtr_regressor(geom, sea, np.minimum(d, d_break), **mtr_kwargs)
+    g = mtr_regressor(geom, sea, np.minimum(d, d_break))
     ok = np.isfinite(g)
     n_null = int(np.sum(~ok))
     report = _fit_dual(d[ok], pl[ok], g[ok], d_break)

@@ -30,6 +30,8 @@ class PdpRecord:
             raise ValueError("delays and powers must have the same length")
         if self.delays.size == 0:
             raise ValueError("empty PDP")
+        if not (np.all(np.isfinite(self.delays)) and np.all(np.isfinite(self.powers))):
+            raise ValueError("delays and powers must be finite")
         if np.any(np.diff(self.delays) <= 0):
             raise ValueError("delays must be strictly increasing")
         if np.any(self.powers < 0):

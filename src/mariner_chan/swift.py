@@ -128,8 +128,7 @@ def polarization_loss(s: RotationState):
     return -20.0 * _log10_ratio(np.abs(np.cos(s.theta) * np.cos(s.phi)), 1.0)
 
 
-def solve_effective_heights(geom: LinkGeometry, harmonics: HarmonicSet, times,
-                            max_iter: int = 50, tol: float = 1e-9
+def solve_effective_heights(geom: LinkGeometry, harmonics: HarmonicSet, times
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wave-adjusted effective antenna heights and reflection-point distance
     at every time in ``times``.
@@ -137,58 +136,37 @@ def solve_effective_heights(geom: LinkGeometry, harmonics: HarmonicSet, times,
     Solves the coupled system: the Tx height is reduced by the surface lift at
     the reflection point, the Rx height rides its local surface relative to
     that same lift, and the reflection point divides the path in the ratio of
-    the two effective heights.  Each step starts a fixed-point iteration from
-    the calm-sea point; a step whose effective height drops to zero or that
-    does not move by less than ``tol`` within ``max_iter`` iterations falls
-    back to bisection of the balance residual over [eps, d - eps].  All steps
-    are solved together, each under its own stopping rules.  Returns arrays
-    (h_t_eff, h_r_eff, d1); raises RuntimeError naming the first failing time.
+    the two effective heights.  Every step takes the root that bisection of
+    the balance residual over [eps, d - eps] reaches; all steps are solved
+    together.  Returns arrays (h_t_eff, h_r_eff, d1); raises RuntimeError
+    naming the first failing time.
     """
     t = np.asarray(times, dtype=float)
-    d = geom.d
-    h_rx_surface = surface_height(harmonics, t, d)
+    h_rx_surface = surface_height(harmonics, t, geom.d)
 
     def heights(idx: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hs1 = surface_height(harmonics, t[idx], d1)
         return geom.h_t - hs1, geom.h_r + h_rx_surface[idx] - hs1
 
-    ht_eff, hr_eff = np.empty_like(t), np.empty_like(t)
-    d1 = np.full_like(t, d * geom.h_t / (geom.h_t + geom.h_r))
-    pending = np.arange(t.size)
-    fallback = []
-    for _ in range(max_iter):
-        if not pending.size:
-            break
-        ht, hr = heights(pending, d1[pending])
-        lost = (ht <= 0) | (hr <= 0)
-        fallback.append(pending[lost])
-        pending, ht, hr = pending[~lost], ht[~lost], hr[~lost]
-        d1_next = d * ht / (ht + hr)
-        conv = np.abs(d1_next - d1[pending]) < tol
-        done = pending[conv]
-        d1[done] = d1_next[conv]
-        ht_eff[done], hr_eff[done] = heights(done, d1[done])
-        pending = pending[~conv]
-        d1[pending] = d1_next[~conv]
-    fallback.append(pending)
-    _bisect_effective_heights(geom, heights, t, np.sort(np.concatenate(fallback)),
-                              ht_eff, hr_eff, d1)
+    ht_eff, hr_eff, d1 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
+    _bisect_effective_heights(geom, heights, t, np.arange(t.size), ht_eff, hr_eff, d1)
     return ht_eff, hr_eff, d1
 
 
-def effective_heights(geom: LinkGeometry, harmonics: HarmonicSet, t: float,
-                      max_iter: int = 50, tol: float = 1e-9) -> tuple[float, float, float]:
+def effective_heights(geom: LinkGeometry, harmonics: HarmonicSet,
+                      t: float) -> tuple[float, float, float]:
     """:func:`solve_effective_heights` at the single time t.
 
     Returns (h_t_eff, h_r_eff, d1).
     """
-    ht, hr, d1 = solve_effective_heights(geom, harmonics, [t], max_iter, tol)
+    ht, hr, d1 = solve_effective_heights(geom, harmonics, [t])
     return float(ht[0]), float(hr[0]), float(d1[0])
 
 
 def _bisect_effective_heights(geom, heights, t, idx, ht_eff, hr_eff, d1) -> None:
-    """Bisection fallback on the reflection-point balance residual for the
-    steps ``idx``; writes their results into ht_eff, hr_eff and d1.
+    """Bisection of the reflection-point balance residual d1*hr - (d - d1)*ht
+    over [eps, d - eps] for the steps ``idx``, each stopped when the residual
+    is below 1e-9*d; writes their results into ht_eff, hr_eff and d1.
     """
     d = geom.d
 
@@ -316,6 +294,8 @@ def decompose_scales(groups: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndar
         arr = np.asarray(g, dtype=float)
         if arr.size == 0:
             raise ValueError("empty amplitude group")
+        if not np.all(np.isfinite(arr) & (arr >= 0)):
+            raise ValueError("amplitudes must be finite and non-negative")
         m = float(np.mean(arr))
         if m == 0.0:
             raise ValueError("zero group mean amplitude")

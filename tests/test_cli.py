@@ -398,6 +398,8 @@ def _invalid_inputs(tmp):
     (tmp / "nan_envelope.csv").write_text("amplitude\n" + "1.0\n" * 40 + "nan\n")
     (tmp / "nan_distance.csv").write_text("d_m,pl_db\n100.0,80.0\nnan,90.0\n1000.0,100.0\n")
     (tmp / "short_row.csv").write_text("d_m,pl_db\n1000,100\n2000\n3000,110\n")
+    (tmp / "nan_pdp.csv").write_text("delay_ns,power_linear\n0.0,1.0\n50.0,nan\n100.0,0.5\n")
+    (tmp / "negative_groups.csv").write_text("group,amplitude\n0,-1\n0,-2\n1,1\n1,2\n")
     (tmp / "negative_n1.json").write_text(json.dumps({"fit": {"n1": -1}}))
     (tmp / "bad_keys.json").write_text(json.dumps({"command": "geometry", "config": {}}))
     (tmp / "list.json").write_text("[1, 2]")
@@ -425,6 +427,9 @@ _INVALID = {
     "pathloss-fit-nan-distance": ["pathloss", "fit", "--model", "ci",
                                   "--input", "{tmp}/nan_distance.csv"],
     "short-row": ["pathloss", "fit", "--model", "ci", "--input", "{tmp}/short_row.csv"],
+    "sparsity-nan-power": ["sparsity", "--pdp", "{tmp}/nan_pdp.csv"],
+    "temporal-nan-power": ["temporal", "--pdp", "{tmp}/nan_pdp.csv"],
+    "decompose-negative-amplitude": ["decompose", "--input", "{tmp}/negative_groups.csv"],
     "smallscale-fit-nan-amplitude": ["smallscale", "fit", "--family", "rician",
                                      "--input", "{tmp}/nan_envelope.csv"],
     "extract-zero-taps": ["sounder", "extract", "--length", "255", "--input", "{tmp}/rx.iq",

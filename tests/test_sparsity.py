@@ -115,6 +115,10 @@ def test_pdp_validation():
         PdpRecord(delays=np.array([0.0, 1e-9]), powers=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         PdpRecord(delays=np.array([0.0]), powers=np.array([0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        PdpRecord(delays=np.array([0.0, 1e-9]), powers=np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        PdpRecord(delays=np.array([0.0, np.inf]), powers=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         split_equal(_pdp([1.0, 2.0]), 0)
     with pytest.raises(ValueError):

@@ -104,12 +104,19 @@ def test_effective_heights_calm_sea():
 
 
 def test_effective_heights_balance_equation():
-    h = build_harmonics(WaveSpectrumConfig(v_w=7.7, seed=5))
-    for t in (0.0, 3.7, 12.9, 60.0):
-        ht, hr, d1 = effective_heights(REF, h, t)
-        assert ht > 0 and hr > 0
-        # reflection point divides the path in the effective-height ratio
-        assert d1 * hr == pytest.approx((REF.d - d1) * ht, abs=1e-5 * REF.d)
+    # the reflection point divides the path in the effective-height ratio, to
+    # the solver's stopping rule: at four times on REF, and at every step of
+    # criterion 6's four setups over a whole 93 s axis
+    cases = [(REF, 7.7, 5, [0.0, 3.7, 12.9, 60.0])]
+    cases += [(LinkGeometry(5.8e9, 25.0, h_r, d), v_w, seed, np.arange(0.0, 93.05, 0.1))
+              for v_w, h_r, d in ((7.7, 4.0, 6000.0), (5.6, 4.0, 6000.0),
+                                  (7.7, 4.0, 3000.0), (7.7, 1.0, 3000.0))
+              for seed in range(5)]
+    for geom, v_w, seed, times in cases:
+        h = build_harmonics(WaveSpectrumConfig(v_w=v_w, seed=seed))
+        ht, hr, d1 = solve_effective_heights(geom, h, times)
+        assert np.all(ht > 0) and np.all(hr > 0)
+        assert np.all(np.abs(d1 * hr - (geom.d - d1) * ht) <= 1e-9 * geom.d)
 
 
 def test_crest_reaching_antenna_names_first_failing_time():
@@ -166,25 +173,15 @@ def test_simulate_swift_matches_stepwise_solve(d, h_r, v_w):
     assert s.n_flagged == int(np.sum(~finite))
 
 
-def _reference_effective_heights(geom, harmonics, t, max_iter=50, tol=1e-9):
-    """Step-at-a-time reflection-point solve: fixed-point iteration from the
-    calm-sea point, falling back to bisection of the balance residual."""
+def _reference_effective_heights(geom, harmonics, t):
+    """Step-at-a-time reflection-point solve: bisection of the balance
+    residual over [eps, d - eps]."""
     d = geom.d
     h_rx = surface_height(harmonics, t, d)
 
     def heights(d1):
         hs1 = surface_height(harmonics, t, d1)
         return geom.h_t - hs1, geom.h_r + h_rx - hs1
-
-    d1 = d * geom.h_t / (geom.h_t + geom.h_r)
-    for _ in range(max_iter):
-        ht, hr = heights(d1)
-        if ht <= 0 or hr <= 0:
-            break
-        d1_next = d * ht / (ht + hr)
-        if abs(d1_next - d1) < tol:
-            return (*heights(d1_next), d1_next)
-        d1 = d1_next
 
     def residual(x):
         ht, hr = heights(x)
@@ -267,6 +264,10 @@ def test_decompose_scales_validation():
         decompose_scales([np.array([])])
     with pytest.raises(ValueError):
         decompose_scales([np.array([0.0, 0.0])])
+    with pytest.raises(ValueError, match="non-negative"):
+        decompose_scales([np.array([1.0, 2.0]), np.array([-1.0, -2.0])])
+    with pytest.raises(ValueError, match="finite"):
+        decompose_scales([np.array([1.0, np.nan])])
 
 
 def test_motion_validation():
