@@ -292,6 +292,10 @@ def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray
     The phase integral uses _twdp_order(K, Delta) Gauss-Legendre nodes,
     which keep the absolute CDF error <= 1e-12 against a 2048-node reference
     for K <= 1e4.  The samples are taken in blocks of _CDF_BLOCK grid cells.
+    Each sample's node sum is its own row reduction, so its CDF does not
+    depend on which other samples share the call (a BLAS matrix-vector
+    product rounds a row by its position in the block); ks_statistic
+    evaluates subsets and relies on that.
     """
     nodes, weights = _gauss_legendre(_twdp_order(k, delta))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -300,7 +304,8 @@ def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray
     rows = max(1, _CDF_BLOCK // nodes.size)
     out = np.empty(u.shape)
     for i in range(0, u.size, rows):
-        out[i:i + rows] = stats.ncx2.cdf(x[i:i + rows, None], 2, nc[None, :]) @ weights
+        out[i:i + rows] = np.sum(stats.ncx2.cdf(x[i:i + rows, None], 2, nc[None, :]) * weights,
+                                 axis=1)
     return out / math.pi
 
 
@@ -340,11 +345,7 @@ class EnvelopeSamples:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.size == 0:
-            raise ValueError("empty sample set")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("amplitude samples must be finite (NaN or inf found)")
+        v = _finite_values(self.values)
         if np.any(v <= 0):
             raise ValueError("amplitude samples must be positive")
         self.values = v / np.mean(v)
@@ -390,22 +391,75 @@ def sample(m: FadingModel, n: int, seed: int | None = None) -> np.ndarray:
     return m.sample(n, rng)
 
 
+def _finite_values(values) -> np.ndarray:
+    """values as a float array, refused if empty or not all finite."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        raise ValueError("empty sample set")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("amplitude samples must be finite (NaN or inf found)")
+    return v
+
+
+def _sample_values(data: EnvelopeSamples | np.ndarray) -> np.ndarray:
+    return data.values if isinstance(data, EnvelopeSamples) else _finite_values(data)
+
+
+_KS_STRIDE_FACTOR = 8  # each bracketing level in ks_statistic divides the stride by this
+_KS_SLACK = 1e-12      # block bounds this close below the best gap are still refined
+
+
 def ks_statistic(data: EnvelopeSamples | np.ndarray, m: FadingModel) -> float:
-    """Two-sided Kolmogorov-Smirnov statistic against the model CDF."""
-    values = data.values if isinstance(data, EnvelopeSamples) else np.asarray(data, float)
-    x = np.sort(values)
+    """Two-sided Kolmogorov-Smirnov statistic against the model CDF.
+
+    Exact, bit for bit: the largest of i/n - F(x_i) and F(x_i) - (i-1)/n
+    over the n sorted samples x_1 <= ... <= x_n, while ``m.cdf`` sees only
+    the samples where that largest gap can lie.  F is non-decreasing, so in
+    a block between evaluated samples x_a <= x_i <= x_b the upper gap
+    i/n - F(x_i) is at most b/n - F(x_a) and the lower gap
+    F(x_i) - (i-1)/n at most F(x_b) - a/n.  F is evaluated first at every
+    s-th sorted sample and at the last one, s being the largest power of 8
+    below n; each further level divides s by 8 and evaluates F only inside
+    the blocks whose bound exceeds the largest gap found so far minus a
+    slack of 1e-12, until s = 1.  The slack sends near-ties and rounding in
+    F to exact evaluation.  Preconditions: F is non-decreasing to within
+    that slack, and F(x) does not depend on the other points of the call.
+    A NaN from F is returned only if an evaluated point has it.
+
+    Cost: one sort and at most 1 + ceil(log8 n) vectorized ``m.cdf`` calls,
+    on about 2-4 % of the points at n = 1e5 when the model is near the data.
+    """
+    x = np.sort(_sample_values(data))
     n = x.size
-    cdf = np.atleast_1d(m.cdf(x))
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
-    return float(max(np.max(upper), np.max(lower)))
+    cdf = np.empty(n)
+    stride = 1
+    while stride * _KS_STRIDE_FACTOR < n:
+        stride *= _KS_STRIDE_FACTOR
+    new = np.append(np.arange(0, n - 1, stride), n - 1)  # 0-based indices to evaluate
+    starts = new[:-1]  # block j spans starts[j] .. min(starts[j] + stride, n - 1)
+    best = -np.inf
+    while True:
+        if new.size:  # a short last block can leave a level with nothing new
+            cdf[new] = m.cdf(x[new])
+            gaps = np.maximum((new + 1) / n - cdf[new], cdf[new] - new / n)
+            best = np.maximum(best, np.max(gaps))
+        ends = np.minimum(starts + stride, n - 1)
+        bound = np.maximum(ends / n - cdf[starts], cdf[ends] - (starts + 1) / n)
+        keep = (ends - starts > 1) & (bound > best - _KS_SLACK)
+        if not np.any(keep):
+            return float(best)
+        stride //= _KS_STRIDE_FACTOR
+        sub = starts[keep, None] + stride * np.arange(_KS_STRIDE_FACTOR)
+        inside = sub < ends[keep, None]
+        starts = sub[inside]
+        new = sub[:, 1:][inside[:, 1:]]
 
 
 def pdf_rmse(data: EnvelopeSamples | np.ndarray, m: FadingModel, bins: int = 50) -> float:
     """RMSE between the normalized data histogram and the model PDF at bin centers."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    values = data.values if isinstance(data, EnvelopeSamples) else np.asarray(data, float)
+    values = _sample_values(data)
     density, edges = np.histogram(values, bins=bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model_density = np.atleast_1d(m.pdf(centers))

@@ -107,14 +107,127 @@ def test_envelope_samples_normalized_to_unit_mean():
             EnvelopeSamples(np.array([1.0, bad]))
 
 
+class Uniform01:
+    """The uniform law on [0, 1]: a model with a CDF and nothing else."""
+
+    def cdf(self, x):
+        return np.clip(np.asarray(x, dtype=float), 0, 1)
+
+
 def test_ks_statistic_oracle():
     # two points at the median of a uniform CDF model
-    class Uniform01:
-        def cdf(self, x):
-            return np.clip(np.asarray(x, dtype=float), 0, 1)
-
     stat = ks_statistic(np.array([0.5, 0.5]), Uniform01())
     assert stat == pytest.approx(0.5)
+
+
+def _full_ks(values, m):
+    """The K-S statistic with the model CDF evaluated at every sample."""
+    x = np.sort(np.asarray(values, dtype=float))
+    n = x.size
+    cdf = np.atleast_1d(m.cdf(x))
+    upper = np.arange(1, n + 1) / n - cdf
+    lower = cdf - np.arange(0, n) / n
+    return float(max(np.max(upper), np.max(lower)))
+
+
+class _CountingModel:
+    """Forwards cdf to a model and counts the calls and the points."""
+
+    def __init__(self, model):
+        self.model, self.calls, self.points = model, 0, 0
+
+    def cdf(self, x):
+        self.calls += 1
+        self.points += np.size(x)
+        return self.model.cdf(x)
+
+
+_KS_SIZES = (1, 2, 7, 8, 9, 64, 65, 513, 10_000, 100_000)
+
+# family -> (generating model, a model far from its data)
+_KS_MODELS = {
+    "rician": (Rician(s=0.994, sigma=0.081), Rician(s=3.0, sigma=0.081)),
+    "twdp": (Twdp(k=10.0, delta=0.7, sigma=0.1), Twdp(k=10.0, delta=0.7, sigma=0.3)),
+    "nakagami": (Nakagami(mu=32.031, omega=1.015), Nakagami(mu=32.031, omega=9.0)),
+    "lognormal": (Lognormal(mu=-0.007, sigma=0.083), Lognormal(mu=1.1, sigma=0.083)),
+    "laplace": (Laplace(mu=1.011, b=0.065), Laplace(mu=3.0, b=0.065)),
+    "asym-laplace": (AsymLaplace(mu=1.033, b1=0.045, b2=0.081),
+                     AsymLaplace(mu=3.0, b1=0.045, b2=0.081)),
+    "uniform": (Uniform01(), Laplace(mu=5.0, b=0.1)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", list(_KS_MODELS))
+def test_ks_statistic_equals_full_evaluation(family, seed):
+    model, far = _KS_MODELS[family]
+    rng = np.random.default_rng(seed)
+    if family == "uniform":
+        draw, models = rng.random, [model, far]
+    else:
+        fitted = fit_mle(family, EnvelopeSamples(model.sample(200, rng))).model
+        draw, models = (lambda n: model.sample(n, rng)), [model, fitted, far]
+    # the full TWDP CDF at 1e5 samples takes about a second, so one seed pays it
+    sizes = _KS_SIZES[:-1] if family == "twdp" and seed else _KS_SIZES
+    for n in sizes:
+        x = draw(n)
+        for m in models:
+            assert ks_statistic(x, m) == _full_ks(x, m), (n, m)
+        ties = np.round(x, 2)  # a few dozen distinct values
+        assert ks_statistic(ties, model) == _full_ks(ties, model), n
+
+
+@pytest.mark.parametrize("n", _KS_SIZES)
+def test_ks_statistic_laplace_data_straddling_zero(n):
+    # Laplace(0, 0.01)'s CDF is exactly 1 above x = 0.37 and below 1e-16 under
+    # x = -0.37: flat in the tails, where most of these samples lie
+    x = np.random.default_rng(n).laplace(0.0, 1.0, size=n)
+    for m in (Laplace(mu=0.0, b=1.0), Laplace(mu=0.0, b=0.01), AsymLaplace(0.0, 0.01, 0.5)):
+        with np.errstate(over="ignore"):  # the CDF's unused branch overflows far from mu
+            assert ks_statistic(x, m) == _full_ks(x, m), m
+
+
+class _RippledUniform:
+    """Uniform01 plus a ripple of 1e-13: outside [0, 1] it falls by up to 2e-13."""
+
+    def cdf(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.clip(x, 0, 1) + 1e-13 * np.sin(1e6 * x)
+
+
+def test_ks_statistic_slack_covers_a_cdf_off_monotone_by_1e13(monkeypatch):
+    # F falls by 2e-13 across the first eight samples, so their block's
+    # bound on the upper gap is 2e-13 below the eighth's; the ninth's gap
+    # lies between the two, which hides the eighth without the slack
+    x = np.append(np.linspace(-4.5e-6, -1.8e-6, 8), 1.0 / 9.0)
+    m = _RippledUniform()
+    assert np.all(np.diff(m.cdf(x[:8])) < 0)
+    assert ks_statistic(x, m) == _full_ks(x, m)
+    monkeypatch.setattr(smallscale, "_KS_SLACK", 0.0)
+    assert ks_statistic(x, m) < _full_ks(x, m)
+
+
+def test_ks_statistic_evaluates_a_few_percent_of_the_samples():
+    n = 100_000
+    model = Rician(s=0.994, sigma=0.081)
+    x = sample(model, n, seed=42)
+    counting = _CountingModel(model)
+    assert ks_statistic(x, counting) == _full_ks(x, model)
+    assert counting.points <= 0.05 * n
+    assert counting.calls <= 1 + math.ceil(math.log(n, 8))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.array([]), "empty"),
+    (np.array([0.5, math.nan]), "finite"),
+    (np.array([0.5, math.inf]), "finite"),
+])
+def test_goodness_of_fit_rejects_empty_or_non_finite_arrays(bad, message):
+    m = Rician(s=1.0, sigma=0.1)
+    with pytest.raises(ValueError, match=message):
+        ks_statistic(bad, m)
+    with pytest.raises(ValueError, match=message):
+        pdf_rmse(bad, m)
 
 
 @pytest.mark.parametrize("family,model,atts", [
