@@ -492,7 +492,7 @@ _COMMANDS = {
                                   "draw samples from a parameterized family",
                                   (_FAMILY, _PARAMS, _opt("-n", int, 10000)), seed=True),
     "smallscale-gof": _Command(("smallscale", "gof"), _run_smallscale_gof,
-                               "goodness of fit of a parameterized family",
+                               "goodness of fit; --params are unit-mean, as in fit.json",
                                (_FAMILY, _PARAMS, _ENVELOPE, _opt("--bins", int, 50))),
     "sparsity": _Command(("sparsity",), _run_sparsity, "sparsity metrics of a PDP",
                          (("--pdp", _PDP),)),
@@ -535,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
             # a group needs a subcommand; a command that has subcommands runs without one
             subparsers[parent] = parsers[parent].add_subparsers(
                 dest="subcmd" if parent else "cmd", required=parent not in command_words)
-        parsers[words] = subparsers[parent].add_parser(words[-1], help=help)
+        parsers[words] = subparsers[parent].add_parser(words[-1], help=help, description=help)
         return parsers[words]
 
     for name, cmd in _COMMANDS.items():

@@ -1,50 +1,47 @@
 """Small-scale fading distribution families: PDFs, CDFs, samplers, maximum
 likelihood fitting, and goodness-of-fit statistics.
 
-Six families are supported: Rician, TWDP (two-wave with diffuse power),
-Nakagami-m, lognormal, Laplace, and asymmetric Laplace; ``FAMILIES`` maps
-each tag to its class and its fitter.  Amplitude data are normalized to unit
-mean before fitting, so fitted location parameters land near 1 for
-well-behaved envelopes.  Rician and Nakagami are fitted by the root of one
-likelihood equation each (Sijbers et al. for nu, Cheng and Beaulieu for m);
-where it has no interior root the fit returns the boundary MLE, s = 0
-(Rayleigh) or m = 0.5.
+Six families: Rician, TWDP (two-wave with diffuse power), Nakagami-m,
+lognormal, Laplace, and asymmetric Laplace; ``FAMILIES`` maps each tag to its
+class and its fitter.  Each is written in closed form with ``scipy.special``,
+TWDP through a Gauss-Legendre sum over the phase between its specular waves.
+Amplitude data are normalized to unit mean before fitting, so fitted location
+parameters land near 1 for well-behaved envelopes.  Rician and Nakagami are
+fitted by the root of one likelihood equation each (Sijbers et al. for nu,
+Cheng and Beaulieu for m), or at the boundary s = 0 or m = 0.5 without one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize, stats
-from scipy.special import digamma, i0e, i1e
+from scipy import optimize
+from scipy.special import chndtr, digamma, gammainc, gammaln, i0e, i1e, ndtr, xlogy
 
 
 # ---------------------------------------------------------------------------
 # model families
 # ---------------------------------------------------------------------------
 
-class _ScipyAmplitude:
-    """pdf, cdf, sampler and log-likelihood of an amplitude family through
-    the frozen scipy distribution its ``_dist()`` returns."""
+class _Amplitude:
+    """pdf, cdf and log-likelihood from the ``_logpdf`` and ``_cdf`` of a family on u >= 0."""
 
     def pdf(self, x):
-        return _amplitude_support(x, self._dist().pdf)
+        return _amplitude_support(x, lambda u: np.exp(self._logpdf(u)))
 
     def cdf(self, x):
-        return _amplitude_support(x, self._dist().cdf)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._dist().rvs(size=n, random_state=rng)
+        return _amplitude_support(x, self._cdf)
 
     def loglik(self, x: np.ndarray) -> float:
-        return float(np.sum(self._dist().logpdf(x)))
+        return float(np.sum(_amplitude_support(x, self._logpdf, -np.inf)))
 
 
 @dataclass(frozen=True)
-class Rician(_ScipyAmplitude):
+class Rician(_Amplitude):
     s: float      # specular amplitude
     sigma: float  # diffuse scale
 
@@ -52,12 +49,20 @@ class Rician(_ScipyAmplitude):
         if self.s < 0 or self.sigma <= 0:
             raise ValueError(f"invalid Rician parameters s={self.s}, sigma={self.sigma}")
 
-    def _dist(self):
-        return stats.rice(self.s / self.sigma, scale=self.sigma)
+    def _logpdf(self, u):
+        v = self.sigma**2
+        return np.log(u / v) - (u - self.s) ** 2 / (2.0 * v) + np.log(i0e(u * self.s / v))
+
+    def _cdf(self, u):
+        return chndtr((u / self.sigma) ** 2, 2, (self.s / self.sigma) ** 2)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        t = self.s / self.sigma / math.sqrt(2.0) + rng.standard_normal((2, n))
+        return np.sqrt((t * t).sum(axis=0)) * self.sigma
 
 
 @dataclass(frozen=True)
-class Twdp:
+class Twdp(_Amplitude):
     """Two dominant specular waves plus a complex Gaussian diffuse sum.
 
     k is the specular-to-diffuse power ratio (linear), delta in [0, 1] the
@@ -73,16 +78,10 @@ class Twdp:
             raise ValueError(
                 f"invalid TWDP parameters k={self.k}, delta={self.delta}, sigma={self.sigma}")
 
-    def pdf(self, x):
-        return _amplitude_support(x, self._pdf_positive)
+    def _logpdf(self, u):
+        return _twdp_logpdf(u, self.k, self.delta, self.sigma)
 
-    def _pdf_positive(self, u: np.ndarray) -> np.ndarray:
-        return np.exp(_twdp_logpdf(u, self.k, self.delta, self.sigma))
-
-    def cdf(self, x):
-        return _amplitude_support(x, self._cdf_positive)
-
-    def _cdf_positive(self, u: np.ndarray) -> np.ndarray:
+    def _cdf(self, u):
         return _twdp_cdf(u, self.k, self.delta, self.sigma)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -92,13 +91,9 @@ class Twdp:
         diffuse = self.sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         return np.abs(v1 * np.exp(1j * psi1) + v2 * np.exp(1j * psi2) + diffuse)
 
-    def loglik(self, x: np.ndarray) -> float:
-        return float(np.sum(_twdp_logpdf(np.asarray(x, dtype=float),
-                                         self.k, self.delta, self.sigma)))
-
 
 @dataclass(frozen=True)
-class Nakagami(_ScipyAmplitude):
+class Nakagami(_Amplitude):
     mu: float     # shape m
     omega: float  # spread (mean square)
 
@@ -106,12 +101,21 @@ class Nakagami(_ScipyAmplitude):
         if self.mu < 0.5 or self.omega <= 0:
             raise ValueError(f"invalid Nakagami parameters mu={self.mu}, omega={self.omega}")
 
-    def _dist(self):
-        return stats.nakagami(self.mu, scale=math.sqrt(self.omega))
+    def _logpdf(self, u):
+        # xlogy keeps pdf(0) = sqrt(2/(pi*omega)) at m = 0.5
+        m, x = self.mu, u / math.sqrt(self.omega)
+        return (math.log(2.0) + xlogy(m, m) - gammaln(m) + xlogy(2.0 * m - 1.0, x)
+                - m * x * x - 0.5 * math.log(self.omega))
+
+    def _cdf(self, u):
+        return gammainc(self.mu, self.mu * u * u / self.omega)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.sqrt(rng.standard_gamma(self.mu, n) / self.mu) * math.sqrt(self.omega)
 
 
 @dataclass(frozen=True)
-class Lognormal(_ScipyAmplitude):
+class Lognormal(_Amplitude):
     mu: float     # mean of log amplitude
     sigma: float  # std of log amplitude
 
@@ -119,8 +123,16 @@ class Lognormal(_ScipyAmplitude):
         if self.sigma <= 0:
             raise ValueError(f"invalid lognormal sigma={self.sigma}")
 
-    def _dist(self):
-        return stats.lognorm(self.sigma, scale=math.exp(self.mu))
+    def _logpdf(self, u):
+        # -z^2/2 - ln u - ln(sigma*sqrt(2*pi)) with ln u = mu + sigma*z: -inf at u = 0
+        z = (np.log(u) - self.mu) / self.sigma
+        return -z * (0.5 * z + self.sigma) - self.mu - math.log(self.sigma * math.sqrt(2 * math.pi))
+
+    def _cdf(self, u):
+        return ndtr((np.log(u) - self.mu) / self.sigma)
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.exp(self.sigma * rng.standard_normal(n)) * math.exp(self.mu)
 
 
 @dataclass(frozen=True)
@@ -139,9 +151,8 @@ class Laplace:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        below = 0.5 * np.exp((x - self.mu) / self.b)
-        above = 1.0 - 0.5 * np.exp(-(x - self.mu) / self.b)
-        out = np.where(x < self.mu, below, above)
+        tail = 0.5 * np.exp(-np.abs(x - self.mu) / self.b)
+        out = np.where(x < self.mu, tail, 1.0 - tail)
         return out if out.ndim else float(out)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -166,18 +177,15 @@ class AsymLaplace:
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
-        norm = 1.0 / (self.b1 + self.b2)
-        out = norm * np.where(x < self.mu,
-                              np.exp((x - self.mu) / self.b1),
-                              np.exp(-(x - self.mu) / self.b2))
+        tail = np.exp(-np.abs(x - self.mu) / np.where(x < self.mu, self.b1, self.b2))
+        out = (1.0 / (self.b1 + self.b2)) * tail
         return out if out.ndim else float(out)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
+        tail = np.exp(-np.abs(x - self.mu) / np.where(x < self.mu, self.b1, self.b2))
         w1 = self.b1 / (self.b1 + self.b2)
-        below = w1 * np.exp((x - self.mu) / self.b1)
-        above = 1.0 - (1.0 - w1) * np.exp(-(x - self.mu) / self.b2)
-        out = np.where(x < self.mu, below, above)
+        out = np.where(x < self.mu, w1 * tail, 1.0 - (1.0 - w1) * tail)
         return out if out.ndim else float(out)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -200,8 +208,7 @@ _MAX_REDRAWS = 100
 def _positive_draws(draw, n: int) -> np.ndarray:
     """n draws of ``draw(size)`` in which every non-positive value is drawn
     again from the same generator: an amplitude is positive, while the
-    Laplace families put mass on x <= 0.  Draws that are all positive come
-    back unchanged.
+    Laplace families put mass on x <= 0.  All-positive draws come back as drawn.
     """
     x = draw(n)
     for _ in range(_MAX_REDRAWS):
@@ -215,12 +222,12 @@ def _positive_draws(draw, n: int) -> np.ndarray:
 FadingModel = Rician | Twdp | Nakagami | Lognormal | Laplace | AsymLaplace
 
 
-def _amplitude_support(x, fn):
-    """Evaluate fn on x >= 0 and zero-fill the negative axis."""
+def _amplitude_support(x, fn, outside: float = 0.0):
+    """fn on x >= 0, where ln 0 = -inf is expected, and ``outside`` on the negative axis."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(arr.shape, dtype=float)
+    out = np.full(arr.shape, outside)
     pos = arr >= 0
-    if np.any(pos):
+    with np.errstate(divide="ignore"):
         out[pos] = fn(arr[pos])
     return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -231,17 +238,14 @@ def _amplitude_support(x, fn):
 
 # Gauss-Legendre node counts the TWDP quadrature chooses from
 _TWDP_ORDERS = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
-_CDF_BLOCK = 1 << 18  # grid cells per ncx2.cdf call in _twdp_cdf, which bounds its memory
-
-_QUAD_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_CDF_BLOCK = 1 << 18  # grid cells per chndtr call in _twdp_cdf, which bounds its memory
 
 
+@functools.cache
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _QUAD_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        # map from [-1, 1] to [0, pi]
-        _QUAD_CACHE[order] = (0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights)
-    return _QUAD_CACHE[order]
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    # map from [-1, 1] to [0, pi]
+    return 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
 
 
 def _twdp_order(k: float, delta: float) -> int:
@@ -253,9 +257,8 @@ def _twdp_order(k: float, delta: float) -> int:
     3, this count keeps the absolute pdf error <= 1e-9 and the CDF error
     <= 1e-12 for K <= 1e4 and Delta in [0, 1] (tests/test_smallscale.py
     pins the table).  At another RMS envelope the pdf error scales as 1/RMS
-    and the CDF error is unchanged.
-    Above K*Delta ~ 2.87e4 the count stays at 1024 and the bound is not
-    verified.
+    and the CDF error is unchanged.  Above K*Delta ~ 2.87e4 the count stays
+    at 1024 and the bound is not verified.
     """
     need = 8.0 + 6.0 * math.sqrt(k * delta)
     return next((n for n in _TWDP_ORDERS if n >= need), _TWDP_ORDERS[-1])
@@ -286,8 +289,7 @@ def _twdp_logpdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndar
 def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray:
     """CDF by conditioning on the inter-wave phase: for a fixed relative phase
     the envelope is Rician with specular power 2*sigma^2*K*(1 - Delta*cos(x)),
-    mixed uniformly over [0, pi]; each conditional CDF is evaluated through
-    the noncentral chi-square ((U/sigma)^2 ~ ncx2(2, s^2/sigma^2)).
+    mixed uniformly over [0, pi]; each conditional CDF is chndtr, as in Rician.
 
     The phase integral uses _twdp_order(K, Delta) Gauss-Legendre nodes,
     which keep the absolute CDF error <= 1e-12 against a 2048-node reference
@@ -304,8 +306,7 @@ def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray
     rows = max(1, _CDF_BLOCK // nodes.size)
     out = np.empty(u.shape)
     for i in range(0, u.size, rows):
-        out[i:i + rows] = np.sum(stats.ncx2.cdf(x[i:i + rows, None], 2, nc[None, :]) * weights,
-                                 axis=1)
+        out[i:i + rows] = np.sum(chndtr(x[i:i + rows, None], 2, nc[None, :]) * weights, axis=1)
     return out / math.pi
 
 
@@ -367,13 +368,12 @@ class FitReport:
     quad_nodes: int | None = None   # TWDP: Gauss-Legendre nodes at the fitted model
 
     def to_dict(self) -> dict:
-        params = {k: v for k, v in vars(self.model).items()}
         diagnostics = {"objective_evals": self.n_evals}
         if self.quad_nodes is not None:
             diagnostics["quad_nodes"] = self.quad_nodes
         return {
             "family": type(self.model).__name__,
-            "params": params,
+            "params": dict(vars(self.model)),
             "ks": self.ks,
             "pdf_rmse": self.pdf_rmse,
             "loglik": self.loglik,
@@ -387,8 +387,7 @@ def sample(m: FadingModel, n: int, seed: int | None = None) -> np.ndarray:
     """Draw n i.i.d. samples from a fading model (un-normalized)."""
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
-    rng = np.random.default_rng(seed)
-    return m.sample(n, rng)
+    return m.sample(n, np.random.default_rng(seed))
 
 
 def _finite_values(values) -> np.ndarray:
@@ -459,8 +458,7 @@ def pdf_rmse(data: EnvelopeSamples | np.ndarray, m: FadingModel, bins: int = 50)
     """RMSE between the normalized data histogram and the model PDF at bin centers."""
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    values = _sample_values(data)
-    density, edges = np.histogram(values, bins=bins, density=True)
+    density, edges = np.histogram(_sample_values(data), bins=bins, density=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model_density = np.atleast_1d(m.pdf(centers))
     return float(np.sqrt(np.mean((density - model_density) ** 2)))
@@ -532,18 +530,20 @@ def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
     """
     msq = float(np.mean(x * x))
 
-    def residual(nu: float) -> float:
+    def residual(nu: float, x: np.ndarray) -> float:
         z = x * (nu / (0.5 * (msq - nu * nu)))
         return float(np.mean(x * i1e(z) / i0e(z))) - nu
 
     lo = 0.5 * float(np.mean(x))
     for tries in range(1, _RICIAN_HALVINGS + 1):
-        if residual(lo) > 0:
+        if residual(lo, x) > 0:
             break
         lo *= 0.5
     else:
         return Rician(s=0.0, sigma=math.sqrt(0.5 * msq)), True, tries
-    nu, res = optimize.brentq(residual, lo, math.sqrt(msq) * (1.0 - 1e-12), full_output=True)
+    # x via args, not the closure: brentq's wrapper is a reference cycle that lives until gc runs
+    nu, res = optimize.brentq(residual, lo, math.sqrt(msq) * (1.0 - 1e-12), args=(x,),
+                              full_output=True)
     return Rician(s=nu, sigma=math.sqrt(0.5 * (msq - nu * nu))), True, tries + res.function_calls
 
 

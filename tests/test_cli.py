@@ -4,6 +4,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,16 @@ def test_smallscale_sample_fit_gof_loop(tmp_path):
                "--input", str(out / "envelope.csv"), "--out", str(gof_out)) == 0
     gof = json.loads((gof_out / "gof.json").read_text())
     assert gof["ks"] < 0.02
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # the envelope families are closed forms over scipy.special; scipy.stats
+    # would add about half a second to every command's start-up
+    code = "import mariner_chan.cli, sys; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_sparsity_and_temporal_pipeline(tmp_path):

@@ -2,7 +2,9 @@
 consistency, and fast MLE round trips.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -38,15 +40,21 @@ GRID = [
     Laplace(mu=1.011, b=0.065),
     AsymLaplace(mu=1.033, b1=0.045, b2=0.081),
 ]
+# the boundary parameters: Rayleigh (s = 0) and the half-normal Nakagami (m = 0.5)
+BOUNDARY = [Rician(s=0.0, sigma=0.5), Nakagami(mu=0.5, omega=1.0)]
 
 
-@pytest.mark.parametrize("model", GRID, ids=lambda m: type(m).__name__)
+def _model_id(m):
+    return type(m).__name__ + ("-boundary" if m in BOUNDARY else "")
+
+
+@pytest.mark.parametrize("model", GRID + BOUNDARY, ids=_model_id)
 def test_pdf_integrates_to_one(model):
     total, _ = quad(lambda x: model.pdf(x), -3.0, 8.0, limit=400)
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("model", GRID, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("model", GRID + BOUNDARY, ids=_model_id)
 def test_cdf_consistent_with_pdf(model):
     xs = np.array([0.5, 0.9, 1.0, 1.1, 1.5])
     for x in xs:
@@ -56,11 +64,49 @@ def test_cdf_consistent_with_pdf(model):
     assert np.all(np.diff(c) >= 0)
 
 
-@pytest.mark.parametrize("model", GRID, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize("model", GRID + BOUNDARY, ids=_model_id)
 def test_sampler_matches_distribution(model):
     x = sample(model, 20_000, seed=0)
     # KS against the generating model should be small for 20k samples
     assert ks_statistic(np.asarray(x), model) < 0.015
+
+
+def _scipy_twin(m):
+    """The scipy.stats law of a closed-form family: the independent oracle."""
+    if isinstance(m, Rician):
+        return stats.rice(m.s / m.sigma, scale=m.sigma)
+    if isinstance(m, Nakagami):
+        return stats.nakagami(m.mu, scale=math.sqrt(m.omega))
+    return stats.lognorm(m.sigma, scale=math.exp(m.mu))
+
+
+# criterion 5's Rician, Nakagami and lognormal parameters, and the boundary ones
+_ORACLE = [m for m in GRID if isinstance(m, (Rician, Nakagami, Lognormal))] + [
+    Rician(s=0.992, sigma=0.087), Nakagami(mu=38.219, omega=1.015),
+    Lognormal(mu=-0.009, sigma=0.094)] + BOUNDARY
+
+
+@pytest.mark.parametrize("model", _ORACLE, ids=str)
+def test_closed_form_families_match_scipy_stats(model):
+    ref = _scipy_twin(model)
+    # x = 0 holds the Nakagami m = 0.5 density sqrt(2/pi) and the lognormal's 0;
+    # at x < 0 every density is 0, every CDF 0 and every log-density -inf
+    x = np.append(-0.5, np.linspace(0.0, 3.0, 301))
+    if isinstance(model, Rician):
+        assert model.cdf(x).tobytes() == ref.cdf(x).tobytes()
+    else:
+        np.testing.assert_allclose(model.cdf(x), ref.cdf(x), rtol=0, atol=1e-13)
+    with np.errstate(divide="ignore"):
+        ref_logpdf = ref.logpdf(x)
+    logpdf = np.array([model.loglik(v) for v in x])
+    finite = np.isfinite(ref_logpdf)
+    assert np.array_equal(logpdf[~finite], ref_logpdf[~finite])
+    np.testing.assert_allclose(logpdf[finite], ref_logpdf[finite], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(model.pdf(x), ref.pdf(x), rtol=1e-12, atol=0)
+    assert model.loglik(x) == pytest.approx(float(np.sum(ref_logpdf)), rel=1e-12)
+    for seed in (0, 1, 7):
+        draws = ref.rvs(size=10_000, random_state=np.random.default_rng(seed))
+        assert sample(model, 10_000, seed=seed).tobytes() == draws.tobytes(), seed
 
 
 def test_twdp_delta_zero_equals_rician():
@@ -183,7 +229,7 @@ def test_ks_statistic_laplace_data_straddling_zero(n):
     # x = -0.37: flat in the tails, where most of these samples lie
     x = np.random.default_rng(n).laplace(0.0, 1.0, size=n)
     for m in (Laplace(mu=0.0, b=1.0), Laplace(mu=0.0, b=0.01), AsymLaplace(0.0, 0.01, 0.5)):
-        with np.errstate(over="ignore"):  # the CDF's unused branch overflows far from mu
+        with np.errstate(over="raise"):  # neither branch of the CDF may overflow far from mu
             assert ks_statistic(x, m) == _full_ks(x, m), m
 
 
@@ -279,6 +325,21 @@ def test_likelihood_equation_fit_not_below_scipys_generic_fit(family, model):
         rep = fit_mle(family, data)
         assert rep.loglik >= reference.loglik(data.values) - 1e-9 * n, seed
         assert rep.converged and rep.n_evals > 0
+
+
+def test_rician_fit_leaves_no_reference_to_the_samples():
+    # scipy's brentq wraps the residual in a function that is a reference
+    # cycle; a residual that closed over the samples would keep each set
+    # alive until the cyclic collector runs
+    data = EnvelopeSamples(sample(Rician(s=0.994, sigma=0.081), 2000, seed=0))
+    samples = weakref.ref(data.values)
+    gc.disable()
+    try:
+        fit_mle("rician", data)
+        del data
+        assert samples() is None
+    finally:
+        gc.enable()
 
 
 def test_nakagami_fit_returns_the_boundary_shape():
