@@ -138,31 +138,21 @@ def mtr_factors(
     h_r_eff=None,
     *,
     d=None,
-    divergence_form: str = "inverse-sqrt",
-    phase_form: str = "path-difference",
 ) -> MtrFactors:
     """Sea-surface factors for the MTR model at (possibly wave-adjusted)
-    effective antenna heights and the distance(s) d (default ``geom.d``).
-
-    ``divergence_form``: "inverse-sqrt" (physical, D <= 1) or "as-printed"
-    (literal published form, D >= 1).  ``phase_form``: "path-difference"
-    (phi = 2*pi*delta_d/lambda) or "as-printed" (phi = 2*pi*delta_d/(lambda*d)).
+    effective antenna heights and the distance(s) d (default ``geom.d``):
+    the divergence D = 1/sqrt(1 + 2*d1*d2/(R_e*(h_t + h_r))) <= 1 and the
+    phase 2*pi*delta_d/lambda of the reflected-minus-direct path difference.
     """
     refl = reflection_geometry(geom, h_t_eff, h_r_eff, d)
-    d = geom.d if d is None else np.asarray(d, dtype=float)
     lam = wavelength(geom)
     beta0 = 0.003 + 0.00512 * sea.v_w
     sigma_s = 0.0051 * sea.v_w**2
 
     base = 1.0 + 2.0 * refl.d1 * refl.d2 / (geom.effective_radius * (geom.h_t + geom.h_r))
-    if divergence_form == "inverse-sqrt":
-        # not base ** -0.5: numpy's array power differs from its 0-d power in
-        # the last bit, and a series must equal its step-by-step evaluation
-        div = 1.0 / np.sqrt(base)
-    elif divergence_form == "as-printed":
-        div = base
-    else:
-        raise ValueError(f"unknown divergence_form {divergence_form!r}")
+    # not base ** -0.5: numpy's array power differs from its 0-d power in
+    # the last bit, and a series must equal its step-by-step evaluation
+    div = 1.0 / np.sqrt(base)
 
     shadow = _smith_shadowing(refl.grazing_angle, beta0)
 
@@ -171,15 +161,8 @@ def mtr_factors(
     g = 4.0 * math.pi * sigma_s * np.sin(refl.grazing_angle)
     rough = i0e(g * g / (2.0 * lam**2))
 
-    if phase_form == "path-difference":
-        phase = 2.0 * math.pi * refl.delta_d / lam
-    elif phase_form == "as-printed":
-        phase = 2.0 * math.pi * refl.delta_d / (lam * d)
-    else:
-        raise ValueError(f"unknown phase_form {phase_form!r}")
-
     return MtrFactors(divergence=div, shadowing=shadow, roughness=rough,
-                      phase=phase, beta0=beta0, sigma_s=sigma_s)
+                      phase=2.0 * math.pi * refl.delta_d / lam, beta0=beta0, sigma_s=sigma_s)
 
 
 def _mtr_interference_magnitude(factors: MtrFactors, gamma_refl: complex):
@@ -197,8 +180,6 @@ def mtr_path_loss(
     *,
     d=None,
     dsr_override: tuple[float, float, float] | None = None,
-    divergence_form: str = "inverse-sqrt",
-    phase_form: str = "path-difference",
 ):
     """Modified two-ray path loss in dB at the effective heights and the
     distance(s) d (default ``geom.d``).
@@ -206,8 +187,7 @@ def mtr_path_loss(
     ``dsr_override`` substitutes (D, S, R) while keeping the geometric phase,
     which is how the model is degenerated to the idealized two-ray form.
     """
-    factors = mtr_factors(geom, sea, h_t_eff, h_r_eff, d=d,
-                          divergence_form=divergence_form, phase_form=phase_form)
+    factors = mtr_factors(geom, sea, h_t_eff, h_r_eff, d=d)
     if dsr_override is not None:
         d_, s_, r_ = dsr_override
         factors = replace(factors, divergence=d_, shadowing=s_, roughness=r_)

@@ -8,7 +8,8 @@ TWDP through a Gauss-Legendre sum over the phase between its specular waves.
 Amplitude data are normalized to unit mean before fitting, so fitted location
 parameters land near 1 for well-behaved envelopes.  Rician and Nakagami are
 fitted by the root of one likelihood equation each (Sijbers et al. for nu,
-Cheng and Beaulieu for m), or at the boundary s = 0 or m = 0.5 without one.
+Cheng and Beaulieu for m), or at the boundary s = 0 or m = 0.5 without one;
+the asymmetric Laplace at the sample that maximizes its profile likelihood.
 """
 
 from __future__ import annotations
@@ -28,16 +29,28 @@ from scipy.special import chndtr, digamma, gammainc, gammaln, i0e, i1e, ndtr, xl
 # ---------------------------------------------------------------------------
 
 class _Amplitude:
-    """pdf, cdf and log-likelihood from the ``_logpdf`` and ``_cdf`` of a family on u >= 0."""
+    """pdf, cdf and log-likelihood from a family's ``_logpdf`` and ``_cdf`` on
+    x >= ``_lower``, where ln 0 = -inf is expected; below it 0, 0 and -inf.
+    Amplitude families start at 0; the untruncated Laplace laws at -inf."""
+
+    _lower = 0.0
 
     def pdf(self, x):
-        return _amplitude_support(x, lambda u: np.exp(self._logpdf(u)))
+        return self._on_support(x, lambda u: np.exp(self._logpdf(u)), 0.0)
 
     def cdf(self, x):
-        return _amplitude_support(x, self._cdf)
+        return self._on_support(x, self._cdf, 0.0)
 
     def loglik(self, x: np.ndarray) -> float:
-        return float(np.sum(_amplitude_support(x, self._logpdf, -np.inf)))
+        return float(np.sum(self._on_support(x, self._logpdf, -np.inf)))
+
+    def _on_support(self, x, fn, outside: float):
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.full(arr.shape, outside)
+        inside = arr >= self._lower
+        with np.errstate(divide="ignore"):
+            out[inside] = fn(arr[inside])
+        return float(out[0]) if np.ndim(x) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -136,57 +149,43 @@ class Lognormal(_Amplitude):
 
 
 @dataclass(frozen=True)
-class Laplace:
+class Laplace(_Amplitude):
     mu: float
     b: float
+    _lower = -math.inf
 
     def __post_init__(self):
         if self.b <= 0:
             raise ValueError(f"invalid Laplace scale b={self.b}")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.exp(-np.abs(x - self.mu) / self.b) / (2.0 * self.b)
-        return out if out.ndim else float(out)
+    def _logpdf(self, u):
+        return _asym_laplace_logpdf(u, self.mu, self.b, self.b)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        tail = 0.5 * np.exp(-np.abs(x - self.mu) / self.b)
-        out = np.where(x < self.mu, tail, 1.0 - tail)
-        return out if out.ndim else float(out)
+    def _cdf(self, u):
+        return _asym_laplace_cdf(u, self.mu, self.b, self.b)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return _positive_draws(lambda size: rng.laplace(self.mu, self.b, size=size), n)
 
-    def loglik(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(np.sum(-np.abs(x - self.mu) / self.b) - x.size * math.log(2.0 * self.b))
-
 
 @dataclass(frozen=True)
-class AsymLaplace:
+class AsymLaplace(_Amplitude):
     """Asymmetric Laplace: separate exponential scales left and right of mu."""
 
     mu: float
     b1: float  # left-tail scale
     b2: float  # right-tail scale
+    _lower = -math.inf
 
     def __post_init__(self):
         if self.b1 <= 0 or self.b2 <= 0:
             raise ValueError(f"invalid asymmetric Laplace scales b1={self.b1}, b2={self.b2}")
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        tail = np.exp(-np.abs(x - self.mu) / np.where(x < self.mu, self.b1, self.b2))
-        out = (1.0 / (self.b1 + self.b2)) * tail
-        return out if out.ndim else float(out)
+    def _logpdf(self, u):
+        return _asym_laplace_logpdf(u, self.mu, self.b1, self.b2)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        tail = np.exp(-np.abs(x - self.mu) / np.where(x < self.mu, self.b1, self.b2))
-        w1 = self.b1 / (self.b1 + self.b2)
-        out = np.where(x < self.mu, w1 * tail, 1.0 - (1.0 - w1) * tail)
-        return out if out.ndim else float(out)
+    def _cdf(self, u):
+        return _asym_laplace_cdf(u, self.mu, self.b1, self.b2)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         w1 = self.b1 / (self.b1 + self.b2)
@@ -198,8 +197,18 @@ class AsymLaplace:
                             self.mu + rng.exponential(self.b2, size=size))
         return _positive_draws(draw, n)
 
-    def loglik(self, x: np.ndarray) -> float:
-        return float(np.sum(np.log(self.pdf(np.asarray(x, dtype=float)))))
+
+# the Laplace law is the asymmetric one at b1 = b2 = b
+def _asym_laplace_logpdf(u, mu: float, b1: float, b2: float):
+    return -np.abs(u - mu) / np.where(u < mu, b1, b2) - math.log(b1 + b2)
+
+
+def _asym_laplace_cdf(u, mu: float, b1: float, b2: float):
+    # exp(-|u - mu|/b) on each side, so neither branch overflows far from mu
+    left = u < mu
+    tail = np.exp(-np.abs(u - mu) / np.where(left, b1, b2))
+    w1 = b1 / (b1 + b2)
+    return np.where(left, w1 * tail, 1.0 - (1.0 - w1) * tail)
 
 
 _MAX_REDRAWS = 100
@@ -220,16 +229,6 @@ def _positive_draws(draw, n: int) -> np.ndarray:
 
 
 FadingModel = Rician | Twdp | Nakagami | Lognormal | Laplace | AsymLaplace
-
-
-def _amplitude_support(x, fn, outside: float = 0.0):
-    """fn on x >= 0, where ln 0 = -inf is expected, and ``outside`` on the negative axis."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(arr.shape, outside)
-    pos = arr >= 0
-    with np.errstate(divide="ignore"):
-        out[pos] = fn(arr[pos])
-    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,9 @@ def params_from_voltages(v1: float, v2: float, sigma: float) -> tuple[float, flo
         raise ValueError(f"sigma must be positive, got {sigma}")
     p = v1**2 + v2**2
     k = p / (2.0 * sigma**2)
-    delta = 0.0 if p == 0 else 2.0 * v1 * v2 / p
+    # 1 - (v1 - v2)^2/p, not 2*v1*v2/p: the small term carries the rounding,
+    # so Delta = 1 comes out exactly at v1 = v2 and within half an ulp near it
+    delta = 0.0 if p == 0 else 1.0 - (v1 - v2) ** 2 / p
     return k, delta
 
 
@@ -489,30 +490,30 @@ def _fit_laplace(x: np.ndarray) -> tuple[Laplace, bool, int]:
     return Laplace(mu=mu, b=float(np.mean(np.abs(x - mu)))), True, 0
 
 
-def _asym_laplace_scales(x: np.ndarray, mu: float) -> tuple[float, float]:
-    # profile MLE for the scales given the location
-    n = x.size
-    s_l = float(np.sum(np.maximum(mu - x, 0.0)))
-    s_r = float(np.sum(np.maximum(x - mu, 0.0)))
-    b1 = (s_l + math.sqrt(s_l * s_r)) / n
-    b2 = (s_r + math.sqrt(s_l * s_r)) / n
-    return b1, b2
-
-
 def _fit_asym_laplace(x: np.ndarray) -> tuple[AsymLaplace, bool, int]:
-    # the profile log-likelihood in mu is maximized where sqrt(s_l)+sqrt(s_r)
-    # is minimal; that objective is piecewise smooth with its optimum at or
-    # between sample points
-    def objective(mu: float) -> float:
-        s_l = float(np.sum(np.maximum(mu - x, 0.0)))
-        s_r = float(np.sum(np.maximum(x - mu, 0.0)))
-        return math.sqrt(s_l) + math.sqrt(s_r)
-
-    res = optimize.minimize_scalar(objective, bounds=(float(np.min(x)), float(np.max(x))),
-                                   method="bounded", options={"xatol": 1e-10})
-    mu = float(res.x)
-    b1, b2 = _asym_laplace_scales(x, mu)
-    return AsymLaplace(mu=mu, b1=b1, b2=b2), True, int(res.nfev)
+    """With s_l and s_r the summed distances of the samples below and above
+    mu, b1 = (s_l + sqrt(s_l*s_r))/n, b2 = (s_r + sqrt(s_l*s_r))/n and the
+    log-likelihood is n*ln(n) - n - 2n*ln(sqrt(s_l) + sqrt(s_r)).  Between
+    samples both sums are linear in mu, so sqrt(s_l) + sqrt(s_r) is concave
+    there and its minimum lies on a sample.  Gap k between sorted samples k
+    and k+1 adds (k+1)*gap to s_l above it and (n-1-k)*gap to s_r below it:
+    a cumulative sum from each end, of non-negative terms, 0 exactly at the
+    samples tied with an end, where no maximum has b1, b2 > 0.  The minimum
+    is taken over the samples with both sums > 0; with none (data on two
+    values) a ValueError is raised.
+    """
+    xs = np.sort(x)
+    n = xs.size
+    s_l = np.cumsum(np.diff(xs) * np.arange(1.0, n))[:-1]  # at sorted samples 1 .. n-2
+    s_r = np.cumsum(np.diff(xs)[::-1] * np.arange(1.0, n))[-2::-1]
+    cost = np.sqrt(s_l) + np.sqrt(s_r)
+    cost[(s_l == 0) | (s_r == 0)] = np.inf
+    if not np.any(cost < np.inf):
+        raise ValueError("the asymmetric Laplace fit needs samples on three or more distinct values")
+    i = int(np.argmin(cost))
+    left, right = float(s_l[i]), float(s_r[i])
+    root = math.sqrt(left * right)
+    return AsymLaplace(mu=float(xs[i + 1]), b1=(left + root) / n, b2=(right + root) / n), True, 0
 
 
 # lower-end trials before the Rician fit settles on s = 0: below
@@ -650,10 +651,12 @@ FAMILIES: dict[str, tuple[type, Callable[[np.ndarray], tuple]]] = {
 def fit_mle(family: str, data: EnvelopeSamples, min_samples: int = 30) -> FitReport:
     """Maximum likelihood fit of one distribution family to envelope samples.
 
-    Lognormal and Laplace in closed form; the asymmetric Laplace location by
-    a bounded scalar search; Rician and Nakagami by one root of their
-    likelihood equations, with the boundary MLEs s = 0 and m = 0.5 where the
-    equation has no interior root; TWDP by a multi-start simplex search.
+    Lognormal, Laplace and the asymmetric Laplace in closed form, the last
+    at the sample that maximizes its profile likelihood (ValueError on data
+    with fewer than three distinct values); Rician and Nakagami by one root
+    of their likelihood equations, with the boundary MLEs s = 0 and m = 0.5
+    where the equation has no interior root; TWDP by a multi-start simplex
+    search, the only fitter that can report converged = False.
     The report always carries the K-S statistic, PDF RMSE, and
     log-likelihood of the returned model.
     """

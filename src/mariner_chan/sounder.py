@@ -11,6 +11,7 @@ autocorrelation exactly zero.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -120,11 +121,18 @@ def save_iq(path, samples: np.ndarray) -> None:
 
 
 def load_iq(path) -> np.ndarray:
+    """Complex samples from a file written by ``save_iq``; ValueError for a
+    bad magic, a short header, or fewer sample bytes than the header counts."""
     with open(path, "rb") as fh:
         magic = fh.read(len(IQ_MAGIC))
         if magic != IQ_MAGIC:
             raise ValueError(f"bad IQ file magic {magic!r}")
-        (count,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError("truncated IQ file header")
+        (count,) = struct.unpack("<Q", header)
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 16 * count:
+            raise ValueError(f"truncated IQ file: fewer than the {count} samples of its header")
         inter = np.frombuffer(fh.read(16 * count), dtype="<f8")
     if inter.size != 2 * count:
         raise ValueError("truncated IQ file")

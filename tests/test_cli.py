@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from mariner_chan import cli
 from mariner_chan.cli import _write_json, main, worker_count
-from mariner_chan.sounder import save_iq
+from mariner_chan.sounder import IQ_MAGIC, save_iq
 from mariner_chan.sparsity import PdpRecord, gini, split_equal, split_random
 
 
@@ -419,6 +420,8 @@ def _invalid_inputs(tmp):
     (tmp / "list.json").write_text("[1, 2]")
     (tmp / "no_rate_yaw.json").write_text(json.dumps(_swift_manifest_without_rate_yaw(tmp)))
     save_iq(tmp / "rx.iq", np.ones(255, dtype=complex))
+    (tmp / "short_header.iq").write_bytes(IQ_MAGIC + bytes(2))
+    (tmp / "huge_count.iq").write_bytes(IQ_MAGIC + struct.pack("<Q", 2**62) + bytes(16))
 
 
 def _swift_manifest_without_rate_yaw(tmp):
@@ -451,6 +454,8 @@ _INVALID = {
     "extract-negative-taps": ["sounder", "extract", "--length", "255",
                               "--input", "{tmp}/rx.iq", "--max-taps", "-2"],
     "extract-missing-iq": ["sounder", "extract", "--input", "{tmp}/nope.iq"],
+    "extract-short-iq-header": ["sounder", "extract", "--input", "{tmp}/short_header.iq"],
+    "extract-huge-iq-count": ["sounder", "extract", "--input", "{tmp}/huge_count.iq"],
     "swift-pdf-zero-bin-width": ["swift", "pdf", "--input", "{tmp}/series.csv",
                                  "--bin-width", "0"],
     "swift-pdf-negative-bin-width": ["swift", "pdf", "--input", "{tmp}/series.csv",

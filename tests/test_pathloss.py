@@ -76,22 +76,27 @@ def test_mtr_roughness_grows_with_wind():
     assert r_high < r_low
 
 
+# the reflection point splits d in the ratio h_t : h_r (flat-earth specular point)
+_D = np.array([200.0, 1000.0, 3000.0, 20000.0])
+_D1 = _D * REF.h_t / (REF.h_t + REF.h_r)
+
+
 def test_mtr_divergence_forms():
-    sea = SeaStateParams(v_w=5.0)
-    inv = mtr_factors(REF, sea, divergence_form="inverse-sqrt").divergence
-    lit = mtr_factors(REF, sea, divergence_form="as-printed").divergence
-    assert inv == pytest.approx(lit ** -0.5)
-    with pytest.raises(ValueError):
-        mtr_factors(REF, sea, divergence_form="bogus")
+    # D = 1/sqrt(1 + 2*d1*d2/(R_e*(h_t + h_r))): at most 1, falling with distance
+    div = mtr_factors(REF, SeaStateParams(v_w=5.0), d=_D).divergence
+    expected = 1.0 / np.sqrt(1.0 + 2.0 * _D1 * (_D - _D1)
+                             / (REF.effective_radius * (REF.h_t + REF.h_r)))
+    np.testing.assert_allclose(div, expected, rtol=1e-14)
+    assert np.all(div <= 1.0) and np.all(np.diff(div) < 0)
 
 
 def test_mtr_phase_forms():
-    sea = SeaStateParams(v_w=5.0)
-    pd = mtr_factors(REF, sea, phase_form="path-difference").phase
-    ap = mtr_factors(REF, sea, phase_form="as-printed").phase
-    assert ap == pytest.approx(pd / REF.d)
-    with pytest.raises(ValueError):
-        mtr_factors(REF, sea, phase_form="bogus")
+    # phi = 2*pi*delta_d/lambda, delta_d the reflected-minus-direct path difference
+    phase = mtr_factors(REF, SeaStateParams(v_w=5.0), d=_D).phase
+    delta_d = (np.sqrt(_D**2 + (REF.h_t + REF.h_r) ** 2)
+               - np.sqrt(_D**2 + (REF.h_t - REF.h_r) ** 2))
+    np.testing.assert_allclose(phase, 2.0 * math.pi * delta_d * REF.f_c / SPEED_OF_LIGHT,
+                               rtol=1e-12)
 
 
 def test_smith_shadowing_limits():

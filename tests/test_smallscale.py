@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats
 from scipy.integrate import quad
 
@@ -109,6 +109,19 @@ def test_closed_form_families_match_scipy_stats(model):
         assert sample(model, 10_000, seed=seed).tobytes() == draws.tobytes(), seed
 
 
+@pytest.mark.parametrize("mu, b", [(1.011, 0.065), (0.1, 0.1), (1.0, 0.001)])
+def test_laplace_is_the_asymmetric_law_at_equal_scales(mu, b):
+    lap, asym = Laplace(mu=mu, b=b), AsymLaplace(mu=mu, b1=b, b2=b)
+    x = np.linspace(-3.0, 8.0, 1101)
+    for method in ("pdf", "cdf"):
+        assert getattr(lap, method)(x).tobytes() == getattr(asym, method)(x).tobytes()
+        assert type(getattr(lap, method)(1.0)) is float
+        assert getattr(lap, method)(1.0) == getattr(asym, method)(1.0)
+    assert lap.loglik(x) == asym.loglik(x)
+    # the log-density stays finite where the density underflows to 0
+    assert asym.loglik([mu + 1000 * b]) == pytest.approx(-1000.0 - math.log(2 * b), rel=1e-15)
+
+
 def test_twdp_delta_zero_equals_rician():
     s, sigma = 0.994, 0.081
     k = s**2 / (2 * sigma**2)
@@ -131,11 +144,15 @@ def test_rician_k_db_is_minus_inf_without_a_specular_part():
 
 @given(v1=st.floats(0.1, 3.0), frac=st.floats(0.0, 1.0),
        sigma=st.floats(0.01, 1.0))
+@example(v1=0.20773567029958534, frac=0.9999999999999999, sigma=1.0)
 def test_voltage_parameter_round_trip(v1, frac, sigma):
     v2 = frac * v1
     k, delta = params_from_voltages(v1, v2, sigma)
     w1, w2 = voltages_from_params(k, delta, sigma)
-    assert w1 == pytest.approx(v1, rel=1e-9, abs=1e-12)
+    # near Delta = 1 half an ulp of Delta (2**-54) moves 1 - Delta**2 by up
+    # to 2**-53, sqrt(1 - Delta**2) by 2**-26.5 and v1 by 2**-27.5 ~ 5.3e-9
+    # of itself; the 1e-15 covers the other roundings
+    assert w1 == pytest.approx(v1, rel=2**-27.5 + 1e-15, abs=1e-12)
     # the delta parameterization resolves v2 only down to ~sqrt(eps)*v1
     assert w2 == pytest.approx(v2, rel=1e-6, abs=1e-7 * v1)
 
@@ -327,6 +344,36 @@ def test_likelihood_equation_fit_not_below_scipys_generic_fit(family, model):
         assert rep.converged and rep.n_evals > 0
 
 
+def _asym_laplace_profile_best(x):
+    """The largest log-likelihood over every location strictly inside the
+    samples' range, each with its profile scales, summed directly."""
+    n, best = x.size, -math.inf
+    for mu in np.unique(x)[1:-1]:
+        s_l, s_r = np.sum(np.maximum(mu - x, 0.0)), np.sum(np.maximum(x - mu, 0.0))
+        root = math.sqrt(s_l * s_r)
+        best = max(best, AsymLaplace(mu, (s_l + root) / n, (s_r + root) / n).loglik(x))
+    return best
+
+
+# the first set's log-likelihood at seed 3: a bounded search over mu stopped at -17.674414
+@pytest.mark.parametrize("n, seed, decimals, loglik", [
+    (30, 0, None, None), (100, 3, None, -17.636533), (300, 1, None, None),
+    (1000, 2, None, None), (1000, 4, 2, None)])
+def test_asym_laplace_fit_is_the_best_sample(n, seed, decimals, loglik):
+    # an asymmetric Laplace set, and an exponential one whose smallest sample
+    # would win if b1 could be 0
+    sets = [sample(AsymLaplace(mu=1.0, b1=0.2, b2=0.1), n, seed=seed),
+            0.5 + np.random.default_rng(seed).exponential(0.2, n)]
+    for j, values in enumerate(sets):
+        data = EnvelopeSamples(values if decimals is None else np.round(values, decimals))
+        rep = fit_mle("asym-laplace", data)
+        assert np.min(data.values) < rep.model.mu < np.max(data.values)
+        assert rep.model.mu in data.values
+        assert rep.loglik >= _asym_laplace_profile_best(data.values) - 1e-12 * n
+        if j == 0 and loglik is not None:
+            assert rep.loglik == pytest.approx(loglik, abs=1e-6)
+
+
 def test_rician_fit_leaves_no_reference_to_the_samples():
     # scipy's brentq wraps the residual in a function that is a reference
     # cycle; a residual that closed over the samples would keep each set
@@ -393,6 +440,9 @@ def test_fit_mle_validation():
     # rounding bounds ln mean(x^2) - mean(ln x^2) here only to about 7e-7 of itself
     with pytest.raises(ValueError, match="concentrated"):
         fit_mle("nakagami", EnvelopeSamples(np.linspace(1 - 1e-9, 1 + 1e-9, 200)))
+    # no sample lies strictly between the two values, where b1, b2 > 0
+    with pytest.raises(ValueError, match="three or more distinct"):
+        fit_mle("asym-laplace", EnvelopeSamples(np.repeat([0.8, 1.3], [40, 60])))
 
 
 # the shape that solves the likelihood equation for np.linspace(1 - a, 1 + a, 100),
@@ -482,7 +532,8 @@ def test_fit_report_diagnostics():
         diag = fit_mle(family, EnvelopeSamples(sample(model, 2000, seed=1))).to_dict()[
             "diagnostics"]
         assert "quad_nodes" not in diag
-        assert (diag["objective_evals"] > 0) == (family != "lognormal")
+        # the asymmetric Laplace fit is a closed-form scan, like lognormal's
+        assert (diag["objective_evals"] > 0) == (family == "rician")
 
 
 def test_laplace_samples_are_positive_amplitudes():

@@ -1,6 +1,7 @@
 """Sounding-chain tests: sequence properties, exact recovery, file format."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -80,13 +81,22 @@ def test_iq_bad_magic(tmp_path):
         load_iq(path)
 
 
+def _truncated_iq_files(tmp_path):
+    """IQ files cut short in the samples or in the header, and one whose
+    header counts 2**62 samples."""
+    save_iq(tmp_path / "full.iq", np.ones(10, dtype=complex))
+    data = (tmp_path / "full.iq").read_bytes()
+    files = {"short-body.iq": data[:-8], "magic-only.iq": data[:5], "short-header.iq": data[:7],
+             "huge-count.iq": data[:5] + struct.pack("<Q", 2**62) + data[13:]}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content)
+    return [tmp_path / name for name in files]
+
+
 def test_iq_truncated(tmp_path):
-    path = tmp_path / "short.iq"
-    save_iq(path, np.ones(10, dtype=complex))
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ValueError):
-        load_iq(path)
+    for path in _truncated_iq_files(tmp_path):
+        with pytest.raises(ValueError, match="truncated"):
+            load_iq(path)
 
 
 def test_validation():
