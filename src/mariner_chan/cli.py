@@ -418,6 +418,9 @@ def _run_sounder_extract(resolved: dict) -> None:
 
 def _run_decompose(resolved: dict) -> None:
     group_ids, amps = _read_csv_columns(resolved["input"], ["group", "amplitude"])
+    bad = ~((group_ids == np.trunc(group_ids)) & (np.abs(group_ids) < 2.0**53))
+    if bad.any():
+        raise ValidationError(f"group ids must be integers, got {float(group_ids[bad][0])}")
     ids = np.unique(group_ids)
     swift_db, small = decompose_scales([amps[group_ids == gid] for gid in ids])
     out = _outdir(resolved)

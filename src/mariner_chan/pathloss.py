@@ -62,15 +62,12 @@ class CiParams:
 
     n: float            # path loss exponent
     d0: float = 1.0     # reference distance, m
-    sigma_sf: float = 0.0  # shadow-fading std, dB
 
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError(f"path loss exponent must be positive, got {self.n}")
         if self.d0 <= 0:
             raise ValueError(f"reference distance must be positive, got {self.d0}")
-        if self.sigma_sf < 0:
-            raise ValueError(f"shadow-fading std must be non-negative, got {self.sigma_sf}")
 
 
 @dataclass(frozen=True)
@@ -80,15 +77,12 @@ class DualSlopeParams:
     n1: float
     n2: float
     d_break: float  # m
-    sigma_sf: float = 0.0  # dB
 
     def __post_init__(self):
         if self.n1 <= 0 or self.n2 <= 0:
             raise ValueError(f"path loss exponents must be positive, got {self.n1}, {self.n2}")
         if self.d_break <= 0:
             raise ValueError(f"break distance must be positive, got {self.d_break}")
-        if self.sigma_sf < 0:
-            raise ValueError(f"shadow-fading std must be non-negative, got {self.sigma_sf}")
 
 
 def is_null(loss_db):

@@ -2,8 +2,8 @@
 
 Every fit takes the measured distances ``d`` (m) and path losses ``pl`` (dB)
 as two equal-length arrays.  All fits minimize dB-domain RMSE, which for
-zero-mean residuals is also the shadow-fading standard deviation reported
-alongside each model.
+zero-mean residuals is also the shadow-fading standard deviation: each
+report's ``rmse_db``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ class PlFitReport:
     params: CiParams | DualSlopeParams
     rmse_db: float
     n_samples: int
-    residuals: np.ndarray = field(repr=False)
     warnings: list[str] = field(default_factory=list)
 
 
@@ -64,10 +63,8 @@ def fit_ci(d, pl, f: float, d0: float = 1.0) -> PlFitReport:
     b = 10.0 * np.log10(d / d0)
     _check_design(d, b)
     n = float(np.dot(a, b) / np.dot(b, b))
-    residuals = a - n * b
-    rmse = float(np.sqrt(np.mean(residuals**2)))
-    return PlFitReport(params=CiParams(n=n, d0=d0, sigma_sf=rmse),
-                       rmse_db=rmse, n_samples=len(d), residuals=residuals)
+    rmse = float(np.sqrt(np.mean((a - n * b)**2)))
+    return PlFitReport(params=CiParams(n=n, d0=d0), rmse_db=rmse, n_samples=len(d))
 
 
 def _fit_dual(d: np.ndarray, y: np.ndarray, g: np.ndarray, d_break: float) -> PlFitReport:
@@ -81,11 +78,10 @@ def _fit_dual(d: np.ndarray, y: np.ndarray, g: np.ndarray, d_break: float) -> Pl
     # with no sample beyond the break x2 is all zero, and lstsq's minimum-norm
     # solution fits n1 alone
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ coef
-    rmse = float(np.sqrt(np.mean(residuals**2)))
+    rmse = float(np.sqrt(np.mean((y - design @ coef)**2)))
     params = DualSlopeParams(n1=float(coef[0]), n2=float(coef[1]) if beyond.any() else math.nan,
-                             d_break=d_break, sigma_sf=rmse)
-    report = PlFitReport(params=params, rmse_db=rmse, n_samples=len(d), residuals=residuals)
+                             d_break=d_break)
+    report = PlFitReport(params=params, rmse_db=rmse, n_samples=len(d))
     if not beyond.any():
         report.warnings.append("no samples beyond the break distance; n2 unset")
     return report
@@ -101,17 +97,15 @@ def fit_dual_ci(d, pl, f: float, d_break: float, d0: float = 1.0) -> PlFitReport
     return _fit_dual(d, pl - fspl(f, d0), 10.0 * np.log10(np.minimum(d, d_break) / d0), d_break)
 
 
-def fit_dual_ci_mtr(d, pl, geom: LinkGeometry, sea: SeaStateParams,
-                    d_break: float | None = None) -> PlFitReport:
-    """Joint OLS fit of (n1, n2) for the dual-slope CI-MTR model.  The break
-    distance is taken from the link geometry unless given explicitly.
+def fit_dual_ci_mtr(d, pl, geom: LinkGeometry, sea: SeaStateParams) -> PlFitReport:
+    """Joint OLS fit of (n1, n2) for the dual-slope CI-MTR model, with the
+    break distance of the link geometry.
 
     Null-flagged samples (exact interference nulls of the model) are excluded
     from the design matrix; a warning is attached when they exceed 20%.  As in
     ``fit_dual_ci``, n2 is nan (flagged) when no sample lies beyond the break.
     """
-    if d_break is None:
-        d_break = break_distance(geom)
+    d_break = break_distance(geom)
     d, pl = _samples(d, pl)
     g = mtr_regressor(geom, sea, np.minimum(d, d_break))
     ok = np.isfinite(g)

@@ -8,7 +8,6 @@ Tx-Rx axis and fully reproducible from its seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -96,24 +95,6 @@ class HarmonicSet:
     @property
     def periods(self) -> np.ndarray:
         return 2.0 * math.pi / self.omegas
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "amplitudes": self.amplitudes.tolist(),
-            "omegas": self.omegas.tolist(),
-            "phases": self.phases.tolist(),
-            "wavelengths": self.wavelengths.tolist(),
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "HarmonicSet":
-        obj = json.loads(text)
-        return cls(
-            amplitudes=np.array(obj["amplitudes"], dtype=float),
-            omegas=np.array(obj["omegas"], dtype=float),
-            phases=np.array(obj["phases"], dtype=float),
-            wavelengths=np.array(obj["wavelengths"], dtype=float),
-        )
 
 
 def build_harmonics(cfg: WaveSpectrumConfig) -> HarmonicSet:

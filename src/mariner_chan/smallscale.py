@@ -115,10 +115,18 @@ class Nakagami(_Amplitude):
             raise ValueError(f"invalid Nakagami parameters mu={self.mu}, omega={self.omega}")
 
     def _logpdf(self, u):
-        # xlogy keeps pdf(0) = sqrt(2/(pi*omega)) at m = 0.5
-        m, x = self.mu, u / math.sqrt(self.omega)
-        return (math.log(2.0) + xlogy(m, m) - gammaln(m) + xlogy(2.0 * m - 1.0, x)
-                - m * x * x - 0.5 * math.log(self.omega))
+        m, s = self.mu, math.sqrt(self.omega)
+        if m < 100.0:
+            # xlogy keeps pdf(0) = sqrt(2/(pi*omega)) at m = 0.5
+            x = u / s
+            return (math.log(2.0) + xlogy(m, m) - gammaln(m) + xlogy(2.0 * m - 1.0, x)
+                    - m * x * x - 0.5 * math.log(self.omega))
+        # terms of size m cancel to rounding above; here c = m ln m - ln Gamma(m) - m by
+        # Stirling's series (truncated below 1e-17) and the exponent's rest in x - 1
+        w, delta = 1.0 / (m * m), (u - s) / s
+        c = 0.5 * math.log(m / (2.0 * math.pi)) - (1.0 / 12.0 - w * (1.0 / 360.0 - w / 1260.0)) / m
+        return (math.log(2.0) + c + (2.0 * m - 1.0) * np.log1p(delta) - m * delta * (2.0 + delta)
+                - 0.5 * math.log(self.omega))
 
     def _cdf(self, u):
         return gammainc(self.mu, self.mu * u * u / self.omega)
@@ -648,7 +656,7 @@ FAMILIES: dict[str, tuple[type, Callable[[np.ndarray], tuple]]] = {
 }
 
 
-def fit_mle(family: str, data: EnvelopeSamples, min_samples: int = 30) -> FitReport:
+def fit_mle(family: str, data: EnvelopeSamples) -> FitReport:
     """Maximum likelihood fit of one distribution family to envelope samples.
 
     Lognormal, Laplace and the asymmetric Laplace in closed form, the last
@@ -663,8 +671,8 @@ def fit_mle(family: str, data: EnvelopeSamples, min_samples: int = 30) -> FitRep
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
     x = data.values
-    if x.size < min_samples:
-        raise ValueError(f"need at least {min_samples} samples, got {x.size}")
+    if x.size < 30:
+        raise ValueError(f"need at least 30 samples, got {x.size}")
     if float(np.std(x)) == 0.0:
         raise ValueError("degenerate constant data: zero variance")
 

@@ -21,7 +21,6 @@ class PdpRecord:
 
     delays: np.ndarray       # s
     powers: np.ndarray       # linear power per MPC, >= 0
-    noise_floor: float = 0.0  # linear power
 
     def __post_init__(self):
         self.delays = np.asarray(self.delays, dtype=float)
@@ -99,7 +98,7 @@ def mpc_extract(delays: np.ndarray, powers: np.ndarray, noise_floor: float,
     keep = powers > cut
     if not np.any(keep):
         raise ValueError("no components above the detection threshold")
-    return PdpRecord(delays=delays[keep], powers=powers[keep], noise_floor=noise_floor)
+    return PdpRecord(delays=delays[keep], powers=powers[keep])
 
 
 def split_equal(p: PdpRecord, m: int) -> PdpRecord:
@@ -126,11 +125,11 @@ def _split(p: PdpRecord, m: int, sub_powers) -> PdpRecord:
     if m < 1:
         raise ValueError(f"split factor must be >= 1, got {m}")
     if m == 1:
-        return PdpRecord(p.delays.copy(), p.powers.copy(), p.noise_floor)
+        return PdpRecord(p.delays.copy(), p.powers.copy())
     gaps = np.diff(p.delays)
     widths = np.append(gaps, gaps[-1] if gaps.size else 1.0)
     delays = (p.delays[:, None] + (np.arange(m) / m)[None, :] * widths[:, None]).ravel()
-    return PdpRecord(delays=delays, powers=sub_powers(), noise_floor=p.noise_floor)
+    return PdpRecord(delays=delays, powers=sub_powers())
 
 
 def split_lemma_batch(n: np.ndarray, m: np.ndarray, powers: np.ndarray,
@@ -167,5 +166,4 @@ def coarsen_pdp(fine: PdpRecord, bin_width: float) -> PdpRecord:
     used = powers > 0
     first_bin = int(np.floor(ratio.min()))
     centers = (np.arange(powers.size) + first_bin + 0.5) * bin_width
-    return PdpRecord(delays=centers[used], powers=powers[used],
-                     noise_floor=fine.noise_floor)
+    return PdpRecord(delays=centers[used], powers=powers[used])

@@ -10,7 +10,7 @@ polarization mismatch losses from sinusoidal vessel rotation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -142,15 +142,7 @@ def solve_effective_heights(geom: LinkGeometry, harmonics: HarmonicSet, times
     naming the first failing time.
     """
     t = np.asarray(times, dtype=float)
-    h_rx_surface = surface_height(harmonics, t, geom.d)
-
-    def heights(idx: np.ndarray, d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hs1 = surface_height(harmonics, t[idx], d1)
-        return geom.h_t - hs1, geom.h_r + h_rx_surface[idx] - hs1
-
-    ht_eff, hr_eff, d1 = np.empty_like(t), np.empty_like(t), np.empty_like(t)
-    _bisect_effective_heights(geom, heights, t, np.arange(t.size), ht_eff, hr_eff, d1)
-    return ht_eff, hr_eff, d1
+    return _bisect_effective_heights(geom, harmonics, t, surface_height(harmonics, t, geom.d))
 
 
 def effective_heights(geom: LinkGeometry, harmonics: HarmonicSet,
@@ -163,52 +155,52 @@ def effective_heights(geom: LinkGeometry, harmonics: HarmonicSet,
     return float(ht[0]), float(hr[0]), float(d1[0])
 
 
-def _bisect_effective_heights(geom, heights, t, idx, ht_eff, hr_eff, d1) -> None:
+def _bisect_effective_heights(geom, harmonics, t, h_rx):
     """Bisection of the reflection-point balance residual d1*hr - (d - d1)*ht
-    over [eps, d - eps] for the steps ``idx``, each stopped when the residual
-    is below 1e-9*d; writes their results into ht_eff, hr_eff and d1.
+    over [eps, d - eps] at every time in ``t``, each step frozen once its
+    residual is below 1e-9*d; ``h_rx`` is the surface height under the Rx at
+    those times.  Returns (h_t_eff, h_r_eff, d1).
     """
     d = geom.d
 
-    def residual(steps: np.ndarray, x: np.ndarray) -> np.ndarray:
-        ht, hr = heights(steps, x)
+    def heights(d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hs1 = surface_height(harmonics, t, d1)
+        return geom.h_t - hs1, geom.h_r + h_rx - hs1
+
+    def residual(x: np.ndarray) -> np.ndarray:
+        ht, hr = heights(x)
         return x * hr - (d - x) * ht
 
     eps = 1e-6 * d
-    lo, hi = np.full(idx.size, eps), np.full(idx.size, d - eps)
-    f_lo, f_hi = residual(idx, lo), residual(idx, hi)
-    bracketed = ~(f_lo * f_hi > 0)
-    steps = idx[bracketed]
-    lo, hi, f_lo_b = lo[bracketed], hi[bracketed], f_lo[bracketed]
-    mid = np.empty_like(lo)
-    live = np.arange(steps.size)
+    lo, hi = np.full(t.size, eps), np.full(t.size, d - eps)
+    f_lo, f_hi = residual(lo), residual(hi)
+    unbracketed = f_lo * f_hi > 0
+    going = ~unbracketed
+    mid = 0.5 * (lo + hi)
     for _ in range(200):
-        if not live.size:
+        if not going.any():
             break
-        mid[live] = 0.5 * (lo[live] + hi[live])
-        f_mid = residual(steps[live], mid[live])
-        going = ~(np.abs(f_mid) < 1e-9 * d)
-        live, f_mid = live[going], f_mid[going]
-        left = f_lo_b[live] * f_mid <= 0
-        hi[live[left]] = mid[live[left]]
-        lo[live[~left]], f_lo_b[live[~left]] = mid[live[~left]], f_mid[~left]
-    ht, hr = heights(steps, mid)
-    ht_eff[steps], hr_eff[steps], d1[steps] = ht, hr, mid
+        mid = np.where(going, 0.5 * (lo + hi), mid)
+        f_mid = residual(mid)
+        going &= ~(np.abs(f_mid) < 1e-9 * d)
+        right = going & ~(f_lo * f_mid <= 0)
+        hi = np.where(going & ~right, mid, hi)
+        lo, f_lo = np.where(right, mid, lo), np.where(right, f_mid, f_lo)
+    ht, hr = heights(mid)
 
     # name the first failing step, as a step-by-step solve would
-    unbracketed = np.flatnonzero(~bracketed)
-    crest = np.flatnonzero((ht <= 0) | (hr <= 0))
-    if unbracketed.size and not (crest.size and steps[crest[0]] < idx[unbracketed[0]]):
-        j = unbracketed[0]
+    failed = unbracketed | (ht <= 0) | (hr <= 0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if unbracketed[i]:
+            raise RuntimeError(
+                f"reflection-point solver failed at t={float(t[i])}: "
+                f"residual({eps:.3g})={f_lo[i]:.3g}, residual({d - eps:.3g})={f_hi[i]:.3g} "
+                f"do not bracket a root")
         raise RuntimeError(
-            f"reflection-point solver failed at t={float(t[idx[j]])}: "
-            f"residual({eps:.3g})={f_lo[j]:.3g}, residual({d - eps:.3g})={f_hi[j]:.3g} "
-            f"do not bracket a root")
-    if crest.size:
-        k = crest[0]
-        raise RuntimeError(
-            f"wave crest reaches an antenna at t={float(t[steps[k]])}: effective heights "
-            f"({ht[k]:.3g}, {hr[k]:.3g})")
+            f"wave crest reaches an antenna at t={float(t[i])}: effective heights "
+            f"({ht[i]:.3g}, {hr[i]:.3g})")
+    return ht, hr, mid
 
 
 @dataclass
@@ -217,7 +209,6 @@ class SwiftSeries:
 
     t: np.ndarray           # s
     fading_db: np.ndarray   # zero-mean deviations, dB
-    seed: int
     n_flagged: int = 0      # samples excluded from the mean as +inf losses
 
 
@@ -240,11 +231,8 @@ def simulate_swift(
     """
     if dt <= 0 or duration < dt:
         raise ValueError(f"need dt > 0 and duration >= dt, got {dt}, {duration}")
-    if seed is None:
-        seed = sea_cfg.seed
-    else:
-        sea_cfg = WaveSpectrumConfig(sea_cfg.v_w, sea_cfg.n_harmonics,
-                                     sea_cfg.omega_lo, sea_cfg.omega_hi, seed)
+    if seed is not None:
+        sea_cfg = replace(sea_cfg, seed=seed)
     if sea is None:
         sea = SeaStateParams(v_w=sea_cfg.v_w)
     harmonics = build_harmonics(sea_cfg)
@@ -259,7 +247,7 @@ def simulate_swift(
     n_flagged = int(np.sum(~finite))
     mean = float(np.mean(level[finite]))
     fading = np.where(finite, level - mean, np.nan)
-    return SwiftSeries(t=times, fading_db=fading, seed=seed, n_flagged=n_flagged)
+    return SwiftSeries(t=times, fading_db=fading, n_flagged=n_flagged)
 
 
 def empirical_pdf(values: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:

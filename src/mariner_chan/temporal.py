@@ -62,17 +62,16 @@ def fit_exp_pdp(p: PdpRecord) -> ExpPdpFit:
     return ExpPdpFit(p0_bar=float(np.exp(intercept)), gamma=-1.0 / float(slope), r2=r2)
 
 
-def synth_exp_pdp(gamma: float, delta_tau: float, n_taps: int,
-                  p0_bar: float = 1.0, tap_fading=None,
+def synth_exp_pdp(gamma: float, delta_tau: float, n_taps: int, tap_fading=None,
                   seed: int | None = None) -> PdpRecord:
     """Exponentially decaying PDP at uniform tap spacing, normalized to unit
     total power; ``tap_fading`` (a fading model with a ``sample`` method)
     multiplies each tap's amplitude independently.
     """
-    if gamma <= 0 or delta_tau <= 0 or n_taps < 1 or p0_bar <= 0:
-        raise ValueError("gamma, delta_tau, n_taps, p0_bar must be positive")
+    if gamma <= 0 or delta_tau <= 0 or n_taps < 1:
+        raise ValueError("gamma, delta_tau, n_taps must be positive")
     delays = np.arange(n_taps) * delta_tau
-    powers = p0_bar * np.exp(-delays / gamma)
+    powers = np.exp(-delays / gamma)
     if tap_fading is not None:
         rng = np.random.default_rng(seed)
         powers = powers * tap_fading.sample(n_taps, rng) ** 2

@@ -415,6 +415,8 @@ def _invalid_inputs(tmp):
     (tmp / "short_row.csv").write_text("d_m,pl_db\n1000,100\n2000\n3000,110\n")
     (tmp / "nan_pdp.csv").write_text("delay_ns,power_linear\n0.0,1.0\n50.0,nan\n100.0,0.5\n")
     (tmp / "negative_groups.csv").write_text("group,amplitude\n0,-1\n0,-2\n1,1\n1,2\n")
+    (tmp / "fractional_groups.csv").write_text("group,amplitude\n1,1\n1,2\n1.5,1\n1.5,2\n")
+    (tmp / "nan_groups.csv").write_text("group,amplitude\n0,1\n0,2\nnan,1\n")
     (tmp / "negative_n1.json").write_text(json.dumps({"fit": {"n1": -1}}))
     (tmp / "bad_keys.json").write_text(json.dumps({"command": "geometry", "config": {}}))
     (tmp / "list.json").write_text("[1, 2]")
@@ -447,6 +449,8 @@ _INVALID = {
     "sparsity-nan-power": ["sparsity", "--pdp", "{tmp}/nan_pdp.csv"],
     "temporal-nan-power": ["temporal", "--pdp", "{tmp}/nan_pdp.csv"],
     "decompose-negative-amplitude": ["decompose", "--input", "{tmp}/negative_groups.csv"],
+    "decompose-fractional-group": ["decompose", "--input", "{tmp}/fractional_groups.csv"],
+    "decompose-nan-group": ["decompose", "--input", "{tmp}/nan_groups.csv"],
     "smallscale-fit-nan-amplitude": ["smallscale", "fit", "--family", "rician",
                                      "--input", "{tmp}/nan_envelope.csv"],
     "extract-zero-taps": ["sounder", "extract", "--length", "255", "--input", "{tmp}/rx.iq",
@@ -482,6 +486,13 @@ def test_replay_names_the_block_and_the_missing_key(tmp_path, capsys):
     assert run("replay", str(tmp_path / "no_rate_yaw.json")) == 2
     err = capsys.readouterr().err
     assert "'motion'" in err and "rate_yaw" in err
+
+
+@pytest.mark.parametrize("name, value", [("fractional", "1.5"), ("nan", "nan")])
+def test_decompose_names_a_group_id_that_is_not_an_integer(tmp_path, capsys, name, value):
+    _invalid_inputs(tmp_path)
+    assert run("decompose", "--input", str(tmp_path / f"{name}_groups.csv")) == 2
+    assert f"group ids must be integers, got {value}" in capsys.readouterr().err
 
 
 def test_flags_before_a_subcommand_take_effect(tmp_path, monkeypatch):

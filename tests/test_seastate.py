@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from mariner_chan.seastate import (
     GRAVITY,
-    HarmonicSet,
     WaveSpectrumConfig,
     build_harmonics,
     pm_peak_frequency,
@@ -72,15 +71,6 @@ def test_deep_water_dispersion():
     h = build_harmonics(WaveSpectrumConfig(v_w=7.7))
     assert np.allclose(h.wavelengths, 2 * math.pi * GRAVITY / h.omegas**2)
     assert np.allclose(h.periods, 2 * math.pi / h.omegas)
-
-
-def test_harmonic_set_json_round_trip():
-    h = build_harmonics(WaveSpectrumConfig(v_w=7.7, seed=11))
-    h2 = HarmonicSet.from_json(h.to_json())
-    assert np.allclose(h.amplitudes, h2.amplitudes)
-    assert np.allclose(h.omegas, h2.omegas)
-    assert np.allclose(h.phases, h2.phases)
-    assert np.allclose(h.wavelengths, h2.wavelengths)
 
 
 def test_validation():

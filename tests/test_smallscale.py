@@ -450,8 +450,16 @@ def test_fit_mle_validation():
 @pytest.mark.parametrize("a, m", [(1e-4, 7.351485160184938e7), (1e-7, 7.351485147555494e13),
                                   (1e-8, 7.351485151744659e15)])
 def test_nakagami_shape_of_a_nearly_constant_envelope(a, m):
-    report = fit_mle("nakagami", EnvelopeSamples(np.linspace(1 - a, 1 + a, 100)))
+    data = EnvelopeSamples(np.linspace(1 - a, 1 + a, 100))
+    report = fit_mle("nakagami", data)
     assert report.model.mu == pytest.approx(m, rel=1e-7)
+    # as m grows the law tends to the normal one, whose maximum log-likelihood
+    # is -n/2 (ln(2 pi var) + 1).  The density's exponent has terms of size
+    # 2m|x - 1| <= 1.5/a, so rounding them costs up to n*eps*1.5/a: 2e-9 of
+    # the log-likelihood at a = 1e-8
+    x = data.values
+    normal = -x.size / 2 * (math.log(2 * math.pi * np.var(x)) + 1)
+    assert report.loglik == pytest.approx(normal, rel=2e-9)
 
 
 def test_parameter_validation():

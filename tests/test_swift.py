@@ -119,17 +119,21 @@ def test_effective_heights_balance_equation():
         assert np.all(np.abs(d1 * hr - (geom.d - d1) * ht) <= 1e-9 * geom.d)
 
 
-def test_crest_reaching_antenna_names_first_failing_time():
-    # one harmonic of wavelength 2d, phased so that at t = 2 s the surface is
+def _crest_sea(t_crest: float) -> HarmonicSet:
+    # one harmonic of wavelength 2d, phased so that at t_crest the surface is
     # h_t - h_r high at the Rx and a crest over h_t stands mid-path
     lam = 2.0 * REF.d
     omega = math.sqrt(2.0 * math.pi * 9.81 / lam)
-    t_crest = 2.0
     amp = 40.0
     phase = (math.asin((REF.h_t - REF.h_r) / amp) + math.pi - omega * t_crest) % (2 * math.pi)
-    h = HarmonicSet(amplitudes=np.array([amp]), omegas=np.array([omega]),
-                    phases=np.array([phase]), wavelengths=np.array([lam]))
-    period = 2.0 * math.pi / omega
+    return HarmonicSet(amplitudes=np.array([amp]), omegas=np.array([omega]),
+                       phases=np.array([phase]), wavelengths=np.array([lam]))
+
+
+def test_crest_reaching_antenna_names_first_failing_time():
+    t_crest = 2.0
+    h = _crest_sea(t_crest)
+    period = h.periods[0]
     for t in (0.0, 1.0, 1.9, 2.1):
         ht, hr, _ = effective_heights(REF, h, t)
         assert ht > 0 and hr > 0
@@ -139,6 +143,15 @@ def test_crest_reaching_antenna_names_first_failing_time():
     times = np.array([0.0, 0.5, 1.0, 1.5, t_crest, 2.5, t_crest + period])
     with pytest.raises(RuntimeError, match=r"wave crest reaches an antenna at t=2\.0:"):
         solve_effective_heights(REF, h, times)
+
+
+def test_first_failing_time_is_named_across_both_failure_kinds():
+    # the crest sea's residual does not bracket a root at t = 34.25 s
+    h = _crest_sea(2.0)
+    with pytest.raises(RuntimeError, match=r"failed at t=34\.25: .* do not bracket a root"):
+        solve_effective_heights(REF, h, [0.0, 34.25, 2.0])
+    with pytest.raises(RuntimeError, match=r"wave crest reaches an antenna at t=2\.0:"):
+        solve_effective_heights(REF, h, [0.0, 2.0, 34.25])
 
 
 def test_unbracketed_residual_names_first_failing_time():
