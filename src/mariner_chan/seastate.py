@@ -9,7 +9,7 @@ Tx-Rx axis and fully reproducible from its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,12 +85,10 @@ class HarmonicSet:
     amplitudes: np.ndarray   # A_i, m
     omegas: np.ndarray       # rad/s
     phases: np.ndarray       # xi_i, rad in [0, 2*pi)
-    wavelengths: np.ndarray = field(default=None)  # m, deep-water dispersion
 
-    def __post_init__(self):
-        if self.wavelengths is None:
-            object.__setattr__(self, "wavelengths",
-                               2.0 * math.pi * GRAVITY / np.asarray(self.omegas)**2)
+    @property
+    def wavelengths(self) -> np.ndarray:  # m, deep-water dispersion
+        return 2.0 * math.pi * GRAVITY / np.asarray(self.omegas)**2
 
     @property
     def periods(self) -> np.ndarray:

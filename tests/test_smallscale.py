@@ -526,12 +526,63 @@ def test_twdp_mle_not_worse_than_truth(seed):
     assert fitted >= generating - 1e-6 * x.size
 
 
+# sets on which a multi-start simplex search ended below the generating parameters
+@pytest.mark.parametrize("k, delta, sigma, n, seed", [
+    (100.0, 0.2, 0.05, 200, 1), (100.0, 0.2, 0.05, 2000, 0), (100.0, 0.2, 0.05, 2000, 1),
+    (0.3, 0.0, 0.5, 200, 3), (0.3, 0.0, 0.5, 2000, 1), (0.3, 0.0, 0.5, 2000, 2),
+    (0.3, 0.0, 0.5, 2000, 3)])
+def test_twdp_mle_not_worse_than_truth_on_hard_sets(k, delta, sigma, n, seed):
+    x = sample(Twdp(k=k, delta=delta, sigma=sigma), n, seed=seed)
+    data = EnvelopeSamples(x)
+    m = fit_mle("twdp", data).model
+    fitted = _reference_loglik(data.values, m.k, m.delta, m.sigma)
+    generating = _reference_loglik(data.values, k, delta, sigma / float(np.mean(x)))
+    assert fitted >= generating - 1e-6 * n
+
+
+@pytest.mark.parametrize("k, delta, sigma", [
+    (10.0, 0.7, 0.1), (100.0, 0.2, 0.05), (0.3, 0.0, 0.5), (1000.0, 0.9, 0.02), (5.0, 1.0, 0.2)])
+def test_twdp_loglik_gradient_matches_finite_differences(k, delta, sigma):
+    u = sample(Twdp(k=k, delta=delta, sigma=sigma), 200, seed=0)
+    w = np.random.default_rng(0).uniform(0.5, 2.0, u.size)
+    order = smallscale._twdp_order(k, delta)
+
+    def loglik(theta):  # in (ln K, Delta, ln sigma), at the fixed order
+        return float(w @ smallscale._twdp_logpdf_order(
+            u, math.exp(theta[0]), theta[1], math.exp(theta[2]), order))
+
+    theta, h = np.array((math.log(k), delta, math.log(sigma))), 1e-4
+    numeric = []
+    for step in np.eye(3) * h:
+        if step[1] and delta == 1.0:  # one-sided, inside Delta <= 1
+            f = [loglik(theta - j * step) for j in range(4)]
+            numeric.append((11 * f[0] - 18 * f[1] + 9 * f[2] - 2 * f[3]) / (6 * h))
+        else:
+            f = [loglik(theta + j * step) for j in (-2, -1, 1, 2)]
+            numeric.append((f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h))
+    value, grad = smallscale._twdp_loglik_grad(u, w, k, delta, sigma, order)
+    assert value == pytest.approx(loglik(theta), rel=1e-12)
+    # at Delta = 0 the Delta component is 0 by symmetry of the phase integral
+    assert grad == pytest.approx(numeric, rel=1e-6, abs=1e-6 * max(map(abs, numeric)))
+
+
+@pytest.mark.parametrize("k, delta, sigma, order", [
+    (10.0, 0.7, 0.1, 24), (100.0, 0.9, 0.05, 96), (1000.0, 1.0, 0.02, 256)])
+def test_twdp_logpdf_of_a_sample_does_not_depend_on_the_call(k, delta, sigma, order):
+    u = sample(Twdp(k=k, delta=delta, sigma=sigma), 5000, seed=0)
+    full = smallscale._twdp_logpdf_order(u, k, delta, sigma, order)
+    part = smallscale._twdp_logpdf_order(u[1000:2000], k, delta, sigma, order)
+    assert part.tobytes() == full[1000:2000].tobytes()
+    single = np.concatenate([smallscale._twdp_logpdf_order(v, k, delta, sigma, order) for v in u])
+    assert single.tobytes() == full.tobytes()
+
+
 def test_fit_report_diagnostics():
     x = sample(Twdp(k=10.0, delta=0.7, sigma=0.1), 200, seed=0)
     rep = fit_mle("twdp", EnvelopeSamples(x))
     diag = rep.to_dict()["diagnostics"]
     assert diag["quad_nodes"] == smallscale._twdp_order(rep.model.k, rep.model.delta)
-    # twelve scored starts, then two coarse searches and a polish
+    # twelve scored starts, then a gradient polish from the best four
     assert diag["objective_evals"] == rep.n_evals
     assert rep.n_evals > 12
     for family, model in (("rician", Rician(s=0.994, sigma=0.081)),

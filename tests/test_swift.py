@@ -127,7 +127,7 @@ def _crest_sea(t_crest: float) -> HarmonicSet:
     amp = 40.0
     phase = (math.asin((REF.h_t - REF.h_r) / amp) + math.pi - omega * t_crest) % (2 * math.pi)
     return HarmonicSet(amplitudes=np.array([amp]), omegas=np.array([omega]),
-                       phases=np.array([phase]), wavelengths=np.array([lam]))
+                       phases=np.array([phase]))
 
 
 def test_crest_reaching_antenna_names_first_failing_time():
