@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 from scipy.special import chndtr, digamma, gammainc, gammaln, i0e, i1e, ndtr, xlogy
 
 
@@ -557,6 +556,7 @@ def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
     and is halved while the residual is <= 0.  If no positive lower end is
     found, s = 0 (Rayleigh) is the boundary MLE.
     """
+    from scipy import optimize  # here, not at import: most commands fit nothing
     msq = float(np.mean(x * x))
 
     def residual(nu: float, x: np.ndarray) -> float:
@@ -588,6 +588,7 @@ def _fit_nakagami(x: np.ndarray) -> tuple[Nakagami, bool, int]:
     returned when that bound is below 1e-7, else the samples are too
     concentrated and a ValueError is raised.
     """
+    from scipy import optimize
     x2 = x * x
     omega = float(np.mean(x2))
     r = x2 / omega
@@ -615,11 +616,12 @@ def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool, int]:
     (Byrd et al., SIAM J. Sci. Comput. 1995) runs from the best four within
     K <= 1e4, Delta in [0, 1] and sigma in [0.1*sqrt(m2/2e4), sqrt(m2)],
     m2 = mean(x^2); without the lower bound the line search reaches sigma = 0.
-    The best polish is kept, with its success flag and the count of value and
-    gradient evaluations, the 12 scores included.  Large sample sets are first
-    compressed into a fine weighted histogram, whose likelihood at thousands
-    of bins is indistinguishable from the exact one at the fitting tolerances.
+    The best polish is kept, with its success flag and the evaluation count,
+    the 12 value-only scores included.  Large sample sets are first compressed
+    into a fine weighted histogram, whose likelihood at thousands of bins is
+    indistinguishable from the exact one at the fitting tolerances.
     """
+    from scipy import optimize
     msq = float(np.mean(x**2))
     if x.size > 4096:
         counts, edges = np.histogram(x, bins=4096)
@@ -634,16 +636,18 @@ def _fit_twdp(x: np.ndarray) -> tuple[Twdp, bool, int]:
         value, grad = _twdp_loglik_grad(data, weights, k, delta, sigma, _twdp_order(k, delta))
         return -value, -grad
 
+    def twdp(s: np.ndarray) -> Twdp:  # the model at (ln K, Delta, ln sigma)
+        return Twdp(k=math.exp(s[0]), delta=float(s[1]), sigma=math.exp(s[2]))
+
     starts = sorted((np.array((math.log(k0), delta0, math.log(math.sqrt(msq / (2.0 * (1.0 + k0))))))
                      for k0 in (1.0, 10.0, 100.0, 1000.0) for delta0 in (0.0, 0.5, 1.0)),
-                    key=lambda start: negloglik(start)[0])
+                    key=lambda start: -float(weights @ twdp(start)._logpdf(data)))
     bounds = ((None, math.log(1e4)), (0.0, 1.0),
               (math.log(0.1 * math.sqrt(msq / 2e4)), 0.5 * math.log(msq)))
     polishes = [optimize.minimize(negloglik, start, jac=True, method="L-BFGS-B", bounds=bounds)
                 for start in starts[:4]]
     res = min(polishes, key=lambda r: r.fun)
-    model = Twdp(k=math.exp(res.x[0]), delta=float(res.x[1]), sigma=math.exp(res.x[2]))
-    return model, bool(res.success), len(starts) + sum(r.nfev for r in polishes)
+    return twdp(res.x), bool(res.success), len(starts) + sum(r.nfev for r in polishes)
 
 
 # tag -> (model class, fitter)

@@ -115,9 +115,9 @@ def split_random(p: PdpRecord, m: int, seed: int | None = None) -> PdpRecord:
     return _split(p, m, lambda: _random_split_powers(p.powers, m, seed))
 
 
-def _random_split_powers(powers: np.ndarray, m: int, seed: int | None) -> np.ndarray:
-    shares = np.random.default_rng(seed).dirichlet(np.ones(m), size=powers.size)
-    return (shares * powers[:, None]).ravel()
+def _random_split_powers(powers: np.ndarray, m: int, seed: int | np.random.Generator | None):
+    shares = np.random.default_rng(seed).dirichlet(np.ones(m), size=powers.shape)
+    return (shares * powers[..., None]).reshape(*powers.shape[:-1], -1)
 
 
 def _split(p: PdpRecord, m: int, sub_powers) -> PdpRecord:
@@ -135,20 +135,18 @@ def _split(p: PdpRecord, m: int, sub_powers) -> PdpRecord:
 def split_lemma_batch(n: np.ndarray, m: np.ndarray, powers: np.ndarray,
                       split_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split lemmas for trial i on the first n[i] powers of row i, split m[i]
-    ways: the gap |G(split_equal) - G| and whether the random split seeded
-    with split_seeds[i] falls below the equal split by more than 1e-12.  The
-    values equal those of ``gini``, ``split_equal`` and ``split_random``.
+    ways: the gap |G(split_equal) - G| and whether a Dirichlet(1) random split
+    falls below the equal split by more than 1e-12.  The random splits come from
+    one generator seeded by split_seeds, one draw per (n, m) cell in sorted order.
     """
+    rng = np.random.default_rng(np.random.SeedSequence(split_seeds.tolist()))
     gaps, violations = np.empty(n.size), np.zeros(n.size, dtype=bool)
-    for nk, mk in set(zip(n.tolist(), m.tolist())):
+    for nk, mk in sorted(set(zip(n.tolist(), m.tolist()))):
         idx = np.flatnonzero((n == nk) & (m == mk))
         p = powers[idx, :nk]
         g_eq = gini_rows(np.repeat(p / mk, mk, axis=1))
         gaps[idx] = np.abs(g_eq - gini_rows(p))
-        if mk > 1:  # a split into one share is the profile itself
-            g_rand = gini_rows(np.stack([_random_split_powers(row, mk, int(seed))
-                                         for row, seed in zip(p, split_seeds[idx])]))
-            violations[idx] = g_rand < g_eq - 1e-12
+        violations[idx] = gini_rows(_random_split_powers(p, mk, rng)) < g_eq - 1e-12
     return gaps, violations
 
 

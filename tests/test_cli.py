@@ -121,14 +121,24 @@ def test_smallscale_sample_fit_gof_loop(tmp_path):
     assert gof["ks"] < 0.02
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # the envelope families are closed forms over scipy.special; scipy.stats
-    # would add about half a second to every command's start-up
-    code = "import mariner_chan.cli, sys; print('scipy.stats' in sys.modules)"
+def _loaded_after_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has ``module`` loaded after ``import mariner_chan.cli``."""
+    code = f"import mariner_chan.cli, sys; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # the envelope families are closed forms over scipy.special; scipy.stats
+    # would add about half a second to every command's start-up
+    assert not _loaded_after_cli_import("scipy.stats")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the Rician, Nakagami and TWDP fitters use it, and import it when they run
+    assert not _loaded_after_cli_import("scipy.optimize")
 
 
 def test_sparsity_and_temporal_pipeline(tmp_path):

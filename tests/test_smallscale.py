@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy import stats
+from scipy import optimize, stats
 from scipy.integrate import quad
 
 from mariner_chan import smallscale
@@ -575,6 +575,37 @@ def test_twdp_logpdf_of_a_sample_does_not_depend_on_the_call(k, delta, sigma, or
     assert part.tobytes() == full[1000:2000].tobytes()
     single = np.concatenate([smallscale._twdp_logpdf_order(v, k, delta, sigma, order) for v in u])
     assert single.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("n", [500, 6000])
+def test_twdp_grid_scores_are_the_gradient_paths_values(monkeypatch, n):
+    """The 12 grid starts are scored by log-likelihood alone.  Each score is
+    the value the gradient path returns there, bit for bit, and the polishes
+    start from the best four by that value, best first.  At n > 4096 the
+    samples are histogram bins weighted by their counts."""
+    x = EnvelopeSamples(sample(Twdp(k=10.0, delta=0.7, sigma=0.1), n, seed=3)).values
+    scored, polished = [], []
+    logpdf, minimize = smallscale._twdp_logpdf_order, optimize.minimize
+
+    def recorded_logpdf(u, k, delta, sigma, order):
+        scored.append(((u, k, delta, sigma, order), logpdf(u, k, delta, sigma, order)))
+        return scored[-1][1]
+
+    def recorded_minimize(fun, x0, **kwargs):
+        polished.append((math.exp(x0[0]), x0[1], math.exp(x0[2])))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(smallscale, "_twdp_logpdf_order", recorded_logpdf)
+    monkeypatch.setattr(optimize, "minimize", recorded_minimize)
+    smallscale._fit_twdp(x)
+    counts, _ = np.histogram(x, bins=4096)
+    w = counts[counts > 0].astype(float) if n > 4096 else np.ones(n)
+    assert len(scored) == 12
+    values = [smallscale._twdp_loglik_grad(u, w, k, delta, sigma, order)[0]
+              for (u, k, delta, sigma, order), _ in scored]
+    assert [float(w @ logpdf_u) for _, logpdf_u in scored] == values
+    best = np.argsort(-np.array(values), kind="stable")[:4]
+    assert polished == [scored[i][0][1:4] for i in best]
 
 
 def test_fit_report_diagnostics():

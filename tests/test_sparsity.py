@@ -155,40 +155,100 @@ def _lemma_trial_reference(n, m, powers, split_seed):
     return abs(g_eq - g0), g_rand < g_eq - 1e-12
 
 
-def test_split_lemma_batch_matches_the_trial_loop_in_every_cell():
-    max_n, max_m = 50, 8
-    rng = np.random.default_rng(11)
-    # every (n, m) cell twice, n = 2 and n = max_n and m = 1 included, shuffled
+def _every_cell_twice(seed, max_n=50, max_m=8):
+    """Trials (n, m, powers, split_seeds) covering every (n, m) cell twice,
+    n = 2, n = max_n and m = 1 included, in shuffled order."""
+    rng = np.random.default_rng(seed)
     n, m = np.meshgrid(np.arange(2, max_n + 1), np.arange(1, max_m + 1))
     n, m = np.tile(n.ravel(), 2), np.tile(m.ravel(), 2)
     order = rng.permutation(n.size)
     n, m = n[order], m[order]
-    powers = rng.exponential(1.0, size=(n.size, max_n))
-    seeds = rng.integers(0, 2**63, size=n.size)
+    return n, m, rng.exponential(1.0, size=(n.size, max_n)), rng.integers(0, 2**63, size=n.size)
+
+
+def _record_random_splits(monkeypatch):
+    """Route the batch's random splits through a recorder; the returned list
+    gets one (powers, m, sub-powers) entry per call."""
+    calls, draw = [], sparsity._random_split_powers
+
+    def recorded(powers, m, seed):
+        calls.append((powers, m, draw(powers, m, seed)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(sparsity, "_random_split_powers", recorded)
+    return calls
+
+
+def test_split_lemma_batch_matches_the_trial_loop_in_every_cell():
+    """The gaps equal the trial loop's bit for bit.  The random splits are
+    drawn from another stream than split_random's, so the violation flags
+    agree only in being all False, as the lemma requires of both."""
+    n, m, powers, seeds = _every_cell_twice(11)
     gaps, violations = split_lemma_batch(n, m, powers, seeds)
     expected = [_lemma_trial_reference(int(a), int(b), row, int(s))
                 for a, b, row, s in zip(n, m, powers, seeds)]
     assert gaps.tolist() == [gap for gap, _ in expected]
-    assert violations.tolist() == [bad for _, bad in expected]
+    assert violations.tolist() == [bad for _, bad in expected] == [False] * n.size
 
 
 def test_split_lemma_batch_flags_a_violation_beyond_its_tolerance(monkeypatch):
     """A random split whose Gini falls 1e-11 below the equal split's is a
     violation; one that falls 1e-13 below is within the 1e-12 tolerance."""
+    drops = np.array([1e-11, 1e-13])
 
-    def equal_split_moved_toward_its_mean(powers, m, seed):
-        # moving toward the mean by eps scales the Gini by (1 - eps);
-        # the seed names the drop, 10**-seed
-        equal = np.repeat(powers / m, m)
-        eps = 10.0 ** -seed / gini_rows(equal)
-        return equal + eps * (equal.mean() - equal)
+    def equal_split_moved_toward_its_mean(powers, m, rng):
+        # moving row i toward its mean by eps scales its Gini by (1 - eps),
+        # a drop of drops[i]; one call splits the whole (n, m) cell
+        assert isinstance(rng, np.random.Generator)
+        equal = np.repeat(powers / m, m, axis=1)
+        eps = drops[:, None] / gini_rows(equal)[:, None]
+        return equal + eps * (np.mean(equal, axis=1, keepdims=True) - equal)
 
     monkeypatch.setattr(sparsity, "_random_split_powers", equal_split_moved_toward_its_mean)
     powers = np.tile(np.random.default_rng(2).exponential(1.0, size=6), (2, 1))
-    seeds = np.array([11, 13])
-    _, violations = split_lemma_batch(np.array([6, 6]), np.array([3, 3]), powers, seeds)
+    _, violations = split_lemma_batch(np.array([6, 6]), np.array([3, 3]), powers,
+                                      np.array([11, 13]))
     assert violations.tolist() == [True, False]
-    g_eq = gini_rows(np.repeat(powers[0] / 3, 3))
-    for seed in seeds:
-        drop = g_eq - gini_rows(equal_split_moved_toward_its_mean(powers[0], 3, seed))
-        assert 0.5 * 10.0 ** -seed < drop < 2.0 * 10.0 ** -seed
+    g_eq = gini_rows(np.repeat(powers / 3, 3, axis=1))
+    drop = g_eq - gini_rows(equal_split_moved_toward_its_mean(powers, 3, np.random.default_rng()))
+    assert np.all((0.5 * drops < drop) & (drop < 2.0 * drops))
+
+
+def test_split_lemma_batch_splits_each_power_into_shares_of_it(monkeypatch):
+    calls = _record_random_splits(monkeypatch)
+    n, m, powers, seeds = _every_cell_twice(12)
+    split_lemma_batch(n, m, powers, seeds)
+    # one draw per cell, in sorted cell order
+    assert [(p.shape[1], mk) for p, mk, _ in calls] == sorted({*zip(n.tolist(), m.tolist())})
+    for p, mk, sub in calls:
+        assert p.shape[0] == 2 and sub.shape == (2, p.shape[1] * mk)
+        assert np.all(sub >= 0)
+        # each MPC's m sub-powers sum to its power within a few ulps
+        assert np.all(np.abs(sub.reshape(*p.shape, mk).sum(axis=2) - p) <= 4 * np.spacing(p))
+
+
+def test_split_lemma_batch_shares_follow_the_dirichlet_law(monkeypatch):
+    """At m = 2 a Dirichlet(1) share is Uniform(0, 1): the K-S distance of the
+    first shares stays within the DKW bound (Massart 1990) at alpha = 1e-3."""
+    calls = _record_random_splits(monkeypatch)
+    rows = 20_000
+    powers = np.random.default_rng(5).exponential(1.0, size=(rows, 2))
+    split_lemma_batch(np.full(rows, 2), np.full(rows, 2), powers, np.arange(rows))
+    ((p, _, sub),) = calls
+    u = np.sort((sub[:, ::2] / p).ravel())
+    ranks = np.arange(1, u.size + 1)
+    ks = max(np.max(ranks / u.size - u), np.max(u - (ranks - 1) / u.size))
+    assert ks < math.sqrt(math.log(2 / 1e-3) / (2 * u.size))
+
+
+def test_split_lemma_batch_is_deterministic(monkeypatch):
+    calls = _record_random_splits(monkeypatch)
+    n, m, powers, seeds = _every_cell_twice(13)
+    first, second = split_lemma_batch(n, m, powers, seeds), split_lemma_batch(n, m, powers, seeds)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    half = len(calls) // 2
+    assert all(np.array_equal(a[2], b[2]) for a, b in zip(calls[:half], calls[half:]))
+    # the gaps do not depend on the trials' order
+    order = np.random.default_rng(14).permutation(n.size)
+    gaps, _ = split_lemma_batch(n[order], m[order], powers[order], seeds[order])
+    assert gaps.tolist() == first[0][order].tolist()
