@@ -252,7 +252,7 @@ def _pl_evaluator(resolved: dict):
 def _run_pathloss_eval(resolved: dict) -> None:
     evaluate = _pl_evaluator(resolved)
     dmin, dmax, step = resolved["dmin"], resolved["dmax"], resolved["step"]
-    if dmin <= 0 or dmax < dmin or step <= 0:
+    if not (0 < dmin <= dmax < math.inf and 0 < step < math.inf):
         raise ValidationError(f"bad sweep range ({dmin}, {dmax}, {step})")
     distances = np.arange(dmin, dmax + 0.5 * step, step)
     pl = evaluate(distances)

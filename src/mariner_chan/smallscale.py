@@ -273,14 +273,15 @@ def _twdp_order(k: float, delta: float) -> int:
 
 def _twdp_phase_sum(u: np.ndarray, k: float, delta: float, sigma: float, order: int):
     """ln f(u) at fixed quadrature order, stably in log domain, with cos x_j and,
-    per sample and node, the Bessel argument z_j and normalised term p_j of the
-    phase sum.  Node sums are row reductions: unlike a BLAS product, they do
-    not round a sample by its place in the call."""
+    per sample and node, the Bessel argument z_j, normalised term p_j of the
+    phase sum and I0e(z_j).  Node sums are row reductions: unlike a BLAS
+    product, they do not round a sample by its place in the call."""
     nodes, weights = _gauss_legendre(order)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     cosx = np.cos(nodes)
     z = (u[:, None] / sigma) * np.sqrt(2.0 * k * (1.0 - delta * cosx))
-    p = np.log(i0e(z))
+    i0 = i0e(z)
+    p = np.log(i0)
     p += k * delta * cosx + z
     shift = np.max(p, axis=1)  # log-sum-exp, shifted by each row's maximum
     p -= shift[:, None]
@@ -288,7 +289,7 @@ def _twdp_phase_sum(u: np.ndarray, k: float, delta: float, sigma: float, order: 
     total = np.sum(p, axis=1)
     with np.errstate(divide="ignore"):
         prefactor = np.log(u) - math.log(math.pi * sigma**2) - u**2 / (2.0 * sigma**2) - k
-    return prefactor + shift + np.log(total), cosx, z, np.divide(p, total[:, None], out=p)
+    return prefactor + shift + np.log(total), cosx, z, np.divide(p, total[:, None], out=p), i0
 
 
 def _twdp_logpdf_order(u: np.ndarray, k: float, delta: float, sigma: float,
@@ -302,9 +303,10 @@ def _twdp_loglik_grad(u: np.ndarray, w: np.ndarray, k: float, delta: float, sigm
     With r_j = I1/I0(z_j): d/dK = -1 + sum p_j (Delta cos x_j + r_j z_j/2K),
     d/dDelta = sum p_j (K - r_j z_j/2(1 - Delta cos x_j)) cos x_j and
     d/dsigma = -2/sigma + u^2/sigma^3 - sum p_j r_j z_j/sigma."""
-    logpdf, cosx, z, p = _twdp_phase_sum(u, k, delta, sigma, order)
-    q = i1e(z) * z
-    q /= i0e(z, out=z)
+    logpdf, cosx, z, p, i0 = _twdp_phase_sum(u, k, delta, sigma, order)
+    q = i1e(z)
+    q *= z
+    q /= i0
     q *= p  # p_j r_j z_j
     wp, wq, n = w @ p, w @ q, float(np.sum(w))  # per node, summed over the samples
     w_cos, w_rz = float(wp @ cosx), float(np.sum(wq))
@@ -550,30 +552,66 @@ _RICIAN_HALVINGS = 20
 
 def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
     """The likelihood equations of Sijbers et al. (IEEE TMI 1998):
-    sigma^2 = (mean(x^2) - nu^2)/2 and nu = mean(x*I1/I0(x*nu/sigma^2)),
-    one root in nu.  Near sqrt(mean(x^2)) the residual is negative (Jensen);
-    nu = 0 is always a trivial root, so the lower end starts at mean(x)/2
-    and is halved while the residual is <= 0.  If no positive lower end is
-    found, s = 0 (Rayleigh) is the boundary MLE.
+    sigma^2 = (m2 - nu^2)/2 and g(nu) = mean(x*A(c*x)) - nu = 0, with
+    m2 = mean(x^2), A = I1/I0 and c = 2*nu/(m2 - nu^2); one root in nu.
+    Near sqrt(m2) the residual is negative (Jensen); nu = 0 is always a
+    trivial root, so the lower end starts at mean(x)/2 and is halved while
+    the residual is <= 0.  If no positive lower end is found, s = 0
+    (Rayleigh) is the boundary MLE.  Otherwise Newton steps, each one that
+    leaves the sign bracket [lo, sqrt(m2)*(1 - 1e-12)] replaced by
+    bisection, run from the moment estimate nu^4 = 2*m2^2 - m4 (else the
+    bracket's midpoint) until a step or the bracket is within brentq's
+    tolerance 2e-12 + 4*eps*nu.  Near 0, g ~ nu^3*(2*m2^2 - m4)/(2*m2^3),
+    so the estimate exists exactly when the residual starts out positive.
+    The slope takes no Bessel pass of its own: g' = c'*mean(x^2*A'(c*x)) - 1
+    with A'(z) = 1 - A/z - A^2 and c' = 2*(m2 + nu^2)/(m2 - nu^2)^2, and
+    mean(x^2*A') = m2 - mean(x*A)/c - mean((x*A)^2).  The count is of
+    residual-and-slope passes.
     """
-    from scipy import optimize  # here, not at import: most commands fit nothing
-    msq = float(np.mean(x * x))
+    x2 = x * x
+    msq = float(np.mean(x2))
 
-    def residual(nu: float, x: np.ndarray) -> float:
-        z = x * (nu / (0.5 * (msq - nu * nu)))
-        return float(np.mean(x * i1e(z) / i0e(z))) - nu
+    def residual(nu: float) -> tuple[float, float]:  # g(nu) and g'(nu)
+        d = msq - nu * nu
+        c = 2.0 * nu / d
+        z = x * c
+        xa = i1e(z)
+        xa /= i0e(z)
+        xa *= x
+        mean_xa = float(np.mean(xa))
+        # np.mean, not a BLAS dot: OpenBLAS threads a dot above 1e4 elements, and on
+        # a 2-core machine that slowed the benchmark's envelope_fit rounds, not sped them
+        slope = 2.0 * (msq + nu * nu) / (d * d) * (msq - mean_xa / c - float(np.mean(xa * xa)))
+        return mean_xa - nu, slope - 1.0
 
     lo = 0.5 * float(np.mean(x))
-    for tries in range(1, _RICIAN_HALVINGS + 1):
-        if residual(lo, x) > 0:
+    for evals in range(1, _RICIAN_HALVINGS + 1):
+        if residual(lo)[0] > 0:
             break
         lo *= 0.5
     else:
-        return Rician(s=0.0, sigma=math.sqrt(0.5 * msq)), True, tries
-    # x via args, not the closure: brentq's wrapper is a reference cycle that lives until gc runs
-    nu, res = optimize.brentq(residual, lo, math.sqrt(msq) * (1.0 - 1e-12), args=(x,),
-                              full_output=True)
-    return Rician(s=nu, sigma=math.sqrt(0.5 * (msq - nu * nu))), True, tries + res.function_calls
+        return Rician(s=0.0, sigma=math.sqrt(0.5 * msq)), True, evals
+    hi = math.sqrt(msq) * (1.0 - 1e-12)
+    seed = max(0.0, 2.0 * msq * msq - float(np.mean(x2 * x2))) ** 0.25
+    nu = seed if lo < seed < hi else 0.5 * (lo + hi)
+    while True:
+        g, slope = residual(nu)
+        evals += 1
+        step = g / slope if slope < 0 else math.inf  # g falls through the root: bisect
+        tol = 2e-12 + 4.0 * np.finfo(float).eps * nu
+        if abs(step) <= tol:
+            nu -= step
+            break
+        if g > 0:
+            lo = nu
+        else:
+            hi = nu
+        if hi - lo <= tol:
+            break
+        nu -= step
+        if not lo < nu < hi:
+            nu = 0.5 * (lo + hi)
+    return Rician(s=nu, sigma=math.sqrt(0.5 * (msq - nu * nu))), True, evals
 
 
 def _fit_nakagami(x: np.ndarray) -> tuple[Nakagami, bool, int]:
@@ -668,7 +706,9 @@ def fit_mle(family: str, data: EnvelopeSamples) -> FitReport:
     at the sample that maximizes its profile likelihood (ValueError on data
     with fewer than three distinct values); Rician and Nakagami by one root
     of their likelihood equations, with the boundary MLEs s = 0 and m = 0.5
-    where the equation has no interior root; TWDP by bounded L-BFGS-B
+    where the equation has no interior root (Rician's root by safeguarded
+    Newton steps from its moment seed, whose slope reuses the residual's
+    I1/I0 pass; Nakagami's by brentq); TWDP by bounded L-BFGS-B
     polishes from the best four of 12 grid starts, the only fitter that can
     report converged = False (the best polish's success flag).
     The report always carries the K-S statistic, PDF RMSE, and

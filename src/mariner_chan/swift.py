@@ -229,8 +229,8 @@ def simulate_swift(
     pattern and polarization losses, each over the whole axis; then de-mean
     the finite samples of the series.
     """
-    if dt <= 0 or duration < dt:
-        raise ValueError(f"need dt > 0 and duration >= dt, got {dt}, {duration}")
+    if not 0 < dt <= duration < math.inf:
+        raise ValueError(f"need finite dt > 0 and duration >= dt, got {dt}, {duration}")
     if seed is not None:
         sea_cfg = replace(sea_cfg, seed=seed)
     if sea is None:
@@ -252,8 +252,8 @@ def simulate_swift(
 
 def empirical_pdf(values: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Normalized histogram PDF: (bin centers, densities) integrating to 1."""
-    if not bin_width > 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not 0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be positive and finite, got {bin_width}")
     v = np.asarray(values, dtype=float)
     v = v[np.isfinite(v)]
     if v.size < 2:

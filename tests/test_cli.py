@@ -474,6 +474,16 @@ _INVALID = {
                                  "--bin-width", "0"],
     "swift-pdf-negative-bin-width": ["swift", "pdf", "--input", "{tmp}/series.csv",
                                      "--bin-width", "-1"],
+    "swift-pdf-inf-bin-width": ["swift", "pdf", "--input", "{tmp}/series.csv",
+                                "--bin-width", "inf"],
+    "swift-sim-nan-dt": ["swift", "sim", "--duration", "5", "--dt", "nan"],
+    "swift-sim-inf-duration": ["swift", "sim", "--duration", "inf"],
+    "pathloss-nan-step": ["pathloss", "eval", "--model", "ci", "--dmin", "100",
+                          "--dmax", "200", "--step", "nan"],
+    "pathloss-nan-dmin": ["pathloss", "eval", "--model", "ci", "--dmin", "nan",
+                          "--dmax", "200", "--step", "10"],
+    "pathloss-inf-dmax": ["pathloss", "eval", "--model", "ci", "--dmin", "100",
+                          "--dmax", "inf", "--step", "10"],
     "replay-bad-keys": ["replay", "{tmp}/bad_keys.json"],
     "replay-list": ["replay", "{tmp}/list.json"],
     "replay-missing-block-key": ["replay", "{tmp}/no_rate_yaw.json"],
@@ -489,6 +499,21 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (out / "manifest.json").exists()
+
+
+# numpy's arange would otherwise refuse these with its own message
+@pytest.mark.parametrize("name, message", [
+    ("swift-pdf-inf-bin-width", "bin width must be positive and finite, got inf"),
+    ("swift-sim-nan-dt", "need finite dt > 0 and duration >= dt, got nan, 5.0"),
+    ("swift-sim-inf-duration", "need finite dt > 0 and duration >= dt, got 0.1, inf"),
+    ("pathloss-nan-step", "bad sweep range (100.0, 200.0, nan)"),
+    ("pathloss-nan-dmin", "bad sweep range (nan, 200.0, 10.0)"),
+    ("pathloss-inf-dmax", "bad sweep range (100.0, inf, 10.0)")])
+def test_non_finite_sweep_and_axis_values_are_named(tmp_path, capsys, name, message):
+    _invalid_inputs(tmp_path)
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in _INVALID[name]]
+    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_replay_names_the_block_and_the_missing_key(tmp_path, capsys):

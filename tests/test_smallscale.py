@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 from scipy.integrate import quad
 
 from mariner_chan import smallscale
@@ -375,9 +375,8 @@ def test_asym_laplace_fit_is_the_best_sample(n, seed, decimals, loglik):
 
 
 def test_rician_fit_leaves_no_reference_to_the_samples():
-    # scipy's brentq wraps the residual in a function that is a reference
-    # cycle; a residual that closed over the samples would keep each set
-    # alive until the cyclic collector runs
+    # the residual closes over the samples; were it caught in a reference
+    # cycle, each set would stay alive until the cyclic collector runs
     data = EnvelopeSamples(sample(Rician(s=0.994, sigma=0.081), 2000, seed=0))
     samples = weakref.ref(data.values)
     gc.disable()
@@ -399,7 +398,7 @@ def test_nakagami_fit_returns_the_boundary_shape():
 
 
 def test_rician_fit_on_rayleigh_data():
-    boundary = 0
+    boundary = []
     for seed in range(10):
         data = EnvelopeSamples(sample(Rician(s=0.0, sigma=0.5), 2000, seed=seed))
         rep = fit_mle("rician", data)
@@ -407,9 +406,89 @@ def test_rician_fit_on_rayleigh_data():
         assert math.isfinite(rep.loglik)
         if rep.model.s == 0:
             # no interior root: the boundary MLE, sigma^2 = mean(x^2)/2
-            boundary += 1
+            boundary.append(seed)
             assert 2 * rep.model.sigma**2 == pytest.approx(np.mean(data.values**2), rel=1e-12)
-    assert boundary > 0
+            assert rep.n_evals == smallscale._RICIAN_HALVINGS
+    assert boundary == [1, 4, 8]  # the sets without an interior root
+
+
+@pytest.mark.parametrize("model", [Rician(s=0.994, sigma=0.081), Rician(s=0.992, sigma=0.087)],
+                         ids=str)
+def test_rician_fit_takes_few_residual_passes(model):
+    # criterion 5's sets: one halving check, then Newton steps from the moment seed
+    rep = fit_mle("rician", EnvelopeSamples(sample(model, 100_000, seed=42)))
+    assert rep.converged and rep.n_evals <= 5
+
+
+def _rician_residual(nu, x):
+    """The likelihood residual mean(x*I1/I0(x*nu/sigma^2)) - nu."""
+    z = x * (nu / (0.5 * (np.mean(x * x) - nu * nu)))
+    return float(np.mean(x * special.i1e(z) / special.i0e(z))) - nu
+
+
+def _rician_bracket_and_root(x):
+    """The halved lower end, the upper end, and brentq's root of the
+    residual, to rounding; None where 20 halvings find no lower end."""
+    lo = 0.5 * float(np.mean(x))
+    for _ in range(20):
+        if _rician_residual(lo, x) > 0:
+            hi = math.sqrt(np.mean(x * x)) * (1.0 - 1e-12)
+            return lo, hi, optimize.brentq(_rician_residual, lo, hi, args=(x,), xtol=1e-300,
+                                           maxiter=500)
+        lo *= 0.5
+    return None
+
+
+def _rician_sets():
+    """18 sets across K and n, then the first in a seed range with an interior
+    root but no moment seed (2*m2^2 <= m4), where the search starts at the
+    bracket's midpoint."""
+    for model in (Rician(s=0.994, sigma=0.081), Rician(s=1.0, sigma=0.01),
+                  Rician(s=0.9, sigma=0.3), Rician(s=0.7, sigma=0.5),
+                  Rician(s=0.5, sigma=0.5), Rician(s=0.45, sigma=0.5)):
+        for n, seed in ((200, 0), (3000, 1), (30_000, 2)):
+            yield EnvelopeSamples(sample(model, n, seed=seed)).values
+    for seed in range(40):
+        x = EnvelopeSamples(sample(Rician(s=0.2, sigma=0.5), 200, seed=seed)).values
+        if 2.0 * np.mean(x * x) ** 2 <= np.mean(x**4) and _rician_bracket_and_root(x) is not None:
+            yield x
+            return
+    raise AssertionError("no set without a moment seed in the seed range")
+
+
+def test_rician_fit_is_the_likelihood_equations_root():
+    eps = np.finfo(float).eps
+    for x in _rician_sets():
+        lo, hi, root = _rician_bracket_and_root(x)  # every set has an interior root
+        nu = fit_mle("rician", EnvelopeSamples(x)).model.s
+        assert lo <= nu <= hi
+        assert abs(nu - root) <= 2e-12 + 4 * eps * root
+
+
+def test_rician_newton_steps_stay_inside_the_sign_bracket(monkeypatch):
+    # a Newton step from the moment seed leaves the bracket here and is bisected
+    x = EnvelopeSamples(sample(Rician(s=0.45, sigma=0.5), 200, seed=28)).values
+    msq = float(np.mean(x * x))
+    nus, i1e = [], smallscale.i1e
+
+    def recorded(z):  # nu from the Bessel argument x*2*nu/(m2 - nu^2)
+        c = z[0] / x[0]
+        nus.append(c * msq / (1.0 + math.sqrt(1.0 + c * c * msq)))
+        return i1e(z)
+
+    monkeypatch.setattr(smallscale, "i1e", recorded)
+    fit_mle("rician", EnvelopeSamples(x))
+    lo, hi, _ = _rician_bracket_and_root(x)
+    halvings = round(math.log2(0.5 * float(np.mean(x)) / lo)) + 1
+    bisected = False
+    for nu in nus[halvings:]:
+        assert lo < nu < hi
+        bisected |= nu == pytest.approx(0.5 * (lo + hi), rel=1e-14)
+        if _rician_residual(nu, x) > 0:
+            lo = nu
+        else:
+            hi = nu
+    assert bisected and len(nus) - halvings <= 8
 
 
 def test_twdp_mle_round_trip_moderate_n():
@@ -564,6 +643,40 @@ def test_twdp_loglik_gradient_matches_finite_differences(k, delta, sigma):
     assert value == pytest.approx(loglik(theta), rel=1e-12)
     # at Delta = 0 the Delta component is 0 by symmetry of the phase integral
     assert grad == pytest.approx(numeric, rel=1e-6, abs=1e-6 * max(map(abs, numeric)))
+
+
+@pytest.mark.parametrize("k, delta, sigma", [(10.0, 0.7, 0.1), (1000.0, 0.9, 0.02),
+                                               (0.3, 0.0, 0.5)])
+def test_twdp_loglik_grad_takes_one_pass_of_each_bessel_function(monkeypatch, k, delta, sigma):
+    u = sample(Twdp(k=k, delta=delta, sigma=sigma), 500, seed=1)
+    w = np.random.default_rng(1).uniform(0.5, 2.0, u.size)
+    order = smallscale._twdp_order(k, delta)
+    # the value and gradient with a second I0 pass over the Bessel arguments
+    logpdf, cosx, z, p, _ = smallscale._twdp_phase_sum(u, k, delta, sigma, order)
+    q = special.i1e(z) * z
+    q /= special.i0e(z, out=z)
+    q *= p
+    wp, wq, n = w @ p, w @ q, float(np.sum(w))
+    w_cos, w_rz = float(wp @ cosx), float(np.sum(wq))
+    expected = [k * delta * w_cos + 0.5 * w_rz - k * n,
+                k * w_cos - 0.5 * float(wq @ (cosx / (1.0 - delta * cosx))),
+                float(w @ u**2) / sigma**2 - 2.0 * n - w_rz]
+    calls = []
+
+    def counted(name):
+        bessel = getattr(special, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return bessel(*args, **kwargs)
+        return call
+
+    for name in ("i0e", "i1e"):
+        monkeypatch.setattr(smallscale, name, counted(name))
+    value, grad = smallscale._twdp_loglik_grad(u, w, k, delta, sigma, order)
+    assert sorted(calls) == ["i0e", "i1e"]
+    assert value == float(w @ logpdf)
+    assert grad.tolist() == expected
 
 
 @pytest.mark.parametrize("k, delta, sigma, order", [

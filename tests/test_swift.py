@@ -253,7 +253,7 @@ def test_empirical_pdf_normalized():
     assert centers.size == density.size
 
 
-@pytest.mark.parametrize("bin_width", [0.0, -1.0])
+@pytest.mark.parametrize("bin_width", [0.0, -1.0, math.inf, math.nan])
 def test_empirical_pdf_needs_a_positive_bin_width(bin_width):
     with pytest.raises(ValueError, match="bin width"):
         empirical_pdf(np.array([0.5, 1.5, -0.3]), bin_width=bin_width)
