@@ -230,7 +230,6 @@ def _pl_evaluator(resolved: dict):
     geom = _geometry_from(resolved["geometry"])
     sea = _sea_from(resolved["sea"])
     p = resolved["params"]
-    d_break = p.get("d_break") or break_distance(geom)
     if model == "fspl":
         return lambda d: fspl(geom.f_c, d)
     if model == "two-ray":
@@ -240,11 +239,11 @@ def _pl_evaluator(resolved: dict):
     if model == "ci":
         ci = CiParams(n=p.get("n", 2.0), d0=p.get("d0", 1.0))
         return lambda d: ci_path_loss(ci, geom.f_c, d)
-    if model == "dual-ci":
-        ds = DualSlopeParams(n1=p.get("n1", 2.0), n2=p.get("n2", 4.0), d_break=d_break)
-        return lambda d: dual_ci_path_loss(ds, geom.f_c, d, d0=p.get("d0", 1.0))
-    if model == "dual-ci-mtr":
-        ds = DualSlopeParams(n1=p.get("n1", 2.0), n2=p.get("n2", 4.0), d_break=d_break)
+    if model in ("dual-ci", "dual-ci-mtr"):
+        ds = DualSlopeParams(n1=p.get("n1", 2.0), n2=p.get("n2", 4.0),
+                             d_break=p.get("d_break") or break_distance(geom))
+        if model == "dual-ci":
+            return lambda d: dual_ci_path_loss(ds, geom.f_c, d, d0=p.get("d0", 1.0))
         return lambda d: dual_ci_mtr_path_loss(ds, geom, sea, d)
     raise ValidationError(f"unknown path loss model {model!r}; expected one of {_PL_MODELS}")
 
@@ -254,6 +253,8 @@ def _run_pathloss_eval(resolved: dict) -> None:
     dmin, dmax, step = resolved["dmin"], resolved["dmax"], resolved["step"]
     if not (0 < dmin <= dmax < math.inf and 0 < step < math.inf):
         raise ValidationError(f"bad sweep range ({dmin}, {dmax}, {step})")
+    if (dmax - dmin) / step >= 10**6:
+        raise ValidationError(f"sweep ({dmin}, {dmax}, {step}) has more than {10**6} points")
     distances = np.arange(dmin, dmax + 0.5 * step, step)
     pl = evaluate(distances)
     out = _outdir(resolved)
@@ -359,12 +360,12 @@ def _run_lemma_check(resolved: dict) -> None:
                               f"got {n_trials}, {max_n} and {max_m}")
     # validates MARINER_CHAN_THREADS; the batch runs in this thread, within any cap
     worker_count()
+    # one stream: the trials' n, m and powers in that order, then the batch's random splits
     rng = np.random.default_rng(seed)
-    # drawn trial by trial, interleaved, so each seed keeps its trials
-    trials = [(rng.integers(2, max_n + 1), rng.integers(1, max_m + 1),
-               rng.exponential(1.0, size=max_n), rng.integers(0, 2**63))
-              for _ in range(n_trials)]
-    gaps, violations = split_lemma_batch(*map(np.array, zip(*trials)))
+    n = rng.integers(2, max_n + 1, size=n_trials)
+    m = rng.integers(1, max_m + 1, size=n_trials)
+    powers = rng.exponential(1.0, size=(n_trials, max_n))
+    gaps, violations = split_lemma_batch(n, m, powers, rng)
     out = _outdir(resolved)
     _write_json(out / "lemma_check.json", {
         "n_trials": n_trials,
@@ -565,6 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve(args) -> tuple[str, dict]:
     cmd = _COMMANDS[args.command]
     config = _load_json(args.config, "config file") if "config" in args else {}
+    for block in (*_BLOCKS, "fit"):
+        if not isinstance(config.get(block, {}), dict):
+            raise ValidationError(f"config block {block!r} must be a JSON object")
     resolved = {block: _resolve_block(config, block, args) for block in cmd.blocks}
     resolved.update({_dest(flag): getattr(args, _dest(flag)) for flag in cmd.flags})
     if cmd.seed:
@@ -573,6 +577,12 @@ def _resolve(args) -> tuple[str, dict]:
     # pathloss eval takes its model parameters, and pathloss fit its d0, from the fit block
     if cmd.fit_key:
         fit = config.get("fit", {})
+        for key, value in fit.items():
+            if key not in ("n", "n1", "n2", "d0", "d_break"):
+                raise ValidationError(f"unknown key in config block 'fit': {key!r}")
+            if not (type(value) in (int, float) and abs(value) < math.inf):
+                raise ValidationError(f"config block 'fit': {key} must be a finite number, "
+                                      f"got {value!r}")
         resolved[cmd.fit_key] = fit if cmd.fit_key == "params" else fit.get("d0", 1.0)
     if _PARAMS in cmd.flags:
         resolved["params"] = _parse_params(resolved["params"])

@@ -41,10 +41,6 @@ class LinkGeometry:
     def effective_radius(self) -> float:
         return self.k_eff * self.r_e
 
-    def at_distance(self, d: float) -> "LinkGeometry":
-        """Same link with a different Tx-Rx distance."""
-        return LinkGeometry(self.f_c, self.h_t, self.h_r, d, self.r_e, self.k_eff)
-
 
 @dataclass(frozen=True)
 class ThresholdDistances:

@@ -133,13 +133,12 @@ def _split(p: PdpRecord, m: int, sub_powers) -> PdpRecord:
 
 
 def split_lemma_batch(n: np.ndarray, m: np.ndarray, powers: np.ndarray,
-                      split_seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Split lemmas for trial i on the first n[i] powers of row i, split m[i]
     ways: the gap |G(split_equal) - G| and whether a Dirichlet(1) random split
-    falls below the equal split by more than 1e-12.  The random splits come from
-    one generator seeded by split_seeds, one draw per (n, m) cell in sorted order.
+    falls below the equal split by more than 1e-12.  The random splits are drawn
+    from ``rng``, one draw per (n, m) cell in sorted order.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(split_seeds.tolist()))
     gaps, violations = np.empty(n.size), np.zeros(n.size, dtype=bool)
     for nk, mk in sorted(set(zip(n.tolist(), m.tolist()))):
         idx = np.flatnonzero((n == nk) & (m == mk))

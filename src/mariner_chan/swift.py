@@ -145,16 +145,6 @@ def solve_effective_heights(geom: LinkGeometry, harmonics: HarmonicSet, times
     return _bisect_effective_heights(geom, harmonics, t, surface_height(harmonics, t, geom.d))
 
 
-def effective_heights(geom: LinkGeometry, harmonics: HarmonicSet,
-                      t: float) -> tuple[float, float, float]:
-    """:func:`solve_effective_heights` at the single time t.
-
-    Returns (h_t_eff, h_r_eff, d1).
-    """
-    ht, hr, d1 = solve_effective_heights(geom, harmonics, [t])
-    return float(ht[0]), float(hr[0]), float(d1[0])
-
-
 def _bisect_effective_heights(geom, harmonics, t, h_rx):
     """Bisection of the reflection-point balance residual d1*hr - (d - d1)*ht
     over [eps, d - eps] at every time in ``t``, each step frozen once its

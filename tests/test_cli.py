@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from mariner_chan import cli
 from mariner_chan.cli import _write_json, main, worker_count
 from mariner_chan.sounder import IQ_MAGIC, save_iq
-from mariner_chan.sparsity import PdpRecord, gini, split_equal, split_random
+from mariner_chan.sparsity import PdpRecord, gini, split_equal
 
 
 def run(*argv):
@@ -240,21 +240,53 @@ def test_lemma_check_deterministic_across_worker_counts(tmp_path, monkeypatch):
             == (tmp_path / "b" / "lemma_check.json").read_bytes())
 
 
-def _lemma_report_reference(n_trials, seed, max_n=50, max_m=8):
-    """The lemma-check report as the CLI built it trial by trial."""
+def _lemma_draws(rng, n_trials, max_n=50, max_m=8):
+    """The trials' n, m and powers, drawn from rng in the documented order."""
+    n = rng.integers(2, max_n + 1, size=n_trials)
+    m = rng.integers(1, max_m + 1, size=n_trials)
+    return n, m, rng.exponential(1.0, size=(n_trials, max_n))
+
+
+def _lemma_report_reference(n_trials, seed):
+    """The lemma-check report built trial by trial from the documented single
+    stream: n, m and powers, then Dirichlet(1) shares for each (n, m) cell in
+    sorted order."""
     rng = np.random.default_rng(seed)
+    n, m, powers = _lemma_draws(rng, n_trials)
+    cells = sorted(set(zip(n.tolist(), m.tolist())))
+    shares = {(nk, mk): iter(rng.dirichlet(np.ones(mk), size=(np.sum((n == nk) & (m == mk)), nk)))
+              for nk, mk in cells}
     gaps, violations = [], 0
-    for _ in range(n_trials):
-        n, m = int(rng.integers(2, max_n + 1)), int(rng.integers(1, max_m + 1))
-        powers, split_seed = rng.exponential(1.0, size=max_n), int(rng.integers(0, 2**63))
-        pdp = PdpRecord(delays=np.arange(n) * 50e-9, powers=powers[:n])
-        g0 = gini(pdp)
-        g_eq = gini(split_equal(pdp, m))
-        g_rand = gini(split_random(pdp, m, seed=split_seed))
-        gaps.append(abs(g_eq - g0))
-        violations += g_rand < g_eq - 1e-12
+    for nk, mk, row in zip(n.tolist(), m.tolist(), powers):
+        pdp = PdpRecord(delays=np.arange(nk) * 50e-9, powers=row[:nk])
+        g_eq = gini(split_equal(pdp, mk))
+        random_split = (next(shares[nk, mk]) * pdp.powers[:, None]).ravel()
+        gaps.append(abs(g_eq - gini(pdp)))
+        violations += gini(PdpRecord(np.arange(nk * mk) * 1e-9, random_split)) < g_eq - 1e-12
     return {"n_trials": n_trials, "max_equal_split_gap": max(gaps),
             "random_split_violations": violations}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_lemma_check_draws_its_trials_from_one_stream_in_order(tmp_path, monkeypatch, seed):
+    """n, m and powers come from default_rng(seed) in that order, one call
+    each, and the batch gets that same generator, continued."""
+    calls, batch = [], cli.split_lemma_batch
+
+    def recorded(n, m, powers, rng):
+        calls.append((n, m, powers, rng, rng.bit_generator.state))
+        return batch(n, m, powers, rng)
+
+    monkeypatch.setattr(cli, "split_lemma_batch", recorded)
+    assert run("sparsity", "lemma-check", "--n-trials", "300", "--seed", str(seed),
+               "--out", str(tmp_path)) == 0
+    ((n, m, powers, rng, state),) = calls
+    expected = np.random.default_rng(seed)
+    for got, want in zip((n, m, powers), _lemma_draws(expected, 300)):
+        assert np.array_equal(got, want)
+    assert state == expected.bit_generator.state
+    # the batch drew its shares from the same stream, after the trials
+    assert rng.bit_generator.state != state
 
 
 @pytest.mark.parametrize("seed", [0, 4, 5])
@@ -430,6 +462,11 @@ def _invalid_inputs(tmp):
     (tmp / "negative_n1.json").write_text(json.dumps({"fit": {"n1": -1}}))
     (tmp / "bad_keys.json").write_text(json.dumps({"command": "geometry", "config": {}}))
     (tmp / "list.json").write_text("[1, 2]")
+    (tmp / "pathloss.csv").write_text("d_m,pl_db\n1000,100\n2000,106\n3000,110\n")
+    for name, config in {"geometry_list": {"geometry": []}, "fit_list": {"fit": []},
+                         "fit_nn2": {"fit": {"n1": 2.5, "nn2": 9}},
+                         "fit_abc": {"fit": {"n1": "abc"}}, "fit_d0": {"fit": {"d0": "x"}}}.items():
+        (tmp / f"{name}.json").write_text(json.dumps(config))
     (tmp / "no_rate_yaw.json").write_text(json.dumps(_swift_manifest_without_rate_yaw(tmp)))
     save_iq(tmp / "rx.iq", np.ones(255, dtype=complex))
     (tmp / "short_header.iq").write_bytes(IQ_MAGIC + bytes(2))
@@ -488,6 +525,18 @@ _INVALID = {
     "replay-list": ["replay", "{tmp}/list.json"],
     "replay-missing-block-key": ["replay", "{tmp}/no_rate_yaw.json"],
     "config-list": ["geometry", "--config", "{tmp}/list.json"],
+    "config-geometry-list": ["geometry", "--config", "{tmp}/geometry_list.json"],
+    "fit-unknown-key": ["pathloss", "eval", "--model", "dual-ci", "--dmin", "1000",
+                        "--dmax", "2000", "--step", "500", "--config", "{tmp}/fit_nn2.json"],
+    "fit-non-numeric": ["pathloss", "eval", "--model", "dual-ci", "--dmin", "1000",
+                        "--dmax", "2000", "--step", "500", "--config", "{tmp}/fit_abc.json"],
+    "fit-list": ["pathloss", "eval", "--model", "dual-ci", "--dmin", "1000",
+                 "--dmax", "2000", "--step", "500", "--config", "{tmp}/fit_list.json"],
+    "pathloss-fit-non-numeric-d0": ["pathloss", "fit", "--model", "ci",
+                                    "--input", "{tmp}/pathloss.csv",
+                                    "--config", "{tmp}/fit_d0.json"],
+    "pathloss-huge-sweep": ["pathloss", "eval", "--model", "fspl", "--dmin", "1",
+                            "--dmax", "1e300", "--step", "1"],
 }
 
 
@@ -501,14 +550,21 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv):
     assert not (out / "manifest.json").exists()
 
 
-# numpy's arange would otherwise refuse these with its own message
+# numpy's arange would otherwise refuse the sweeps and axes with its own
+# message, and the library would take a config block's values unchecked
 @pytest.mark.parametrize("name, message", [
     ("swift-pdf-inf-bin-width", "bin width must be positive and finite, got inf"),
     ("swift-sim-nan-dt", "need finite dt > 0 and duration >= dt, got nan, 5.0"),
     ("swift-sim-inf-duration", "need finite dt > 0 and duration >= dt, got 0.1, inf"),
     ("pathloss-nan-step", "bad sweep range (100.0, 200.0, nan)"),
     ("pathloss-nan-dmin", "bad sweep range (nan, 200.0, 10.0)"),
-    ("pathloss-inf-dmax", "bad sweep range (100.0, inf, 10.0)")])
+    ("pathloss-inf-dmax", "bad sweep range (100.0, inf, 10.0)"),
+    ("pathloss-huge-sweep", "sweep (1.0, 1e+300, 1.0) has more than 1000000 points"),
+    ("config-geometry-list", "config block 'geometry' must be a JSON object"),
+    ("fit-list", "config block 'fit' must be a JSON object"),
+    ("fit-unknown-key", "unknown key in config block 'fit': 'nn2'"),
+    ("fit-non-numeric", "config block 'fit': n1 must be a finite number, got 'abc'"),
+    ("pathloss-fit-non-numeric-d0", "config block 'fit': d0 must be a finite number, got 'x'")])
 def test_non_finite_sweep_and_axis_values_are_named(tmp_path, capsys, name, message):
     _invalid_inputs(tmp_path)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in _INVALID[name]]

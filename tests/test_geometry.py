@@ -60,12 +60,6 @@ def test_effective_radius_multiplier():
     assert max_los_distance(g43) > max_los_distance(REF)
 
 
-def test_at_distance_preserves_link():
-    g = REF.at_distance(12000.0)
-    assert g.d == 12000.0
-    assert (g.f_c, g.h_t, g.h_r) == (REF.f_c, REF.h_t, REF.h_r)
-
-
 def test_reflection_geometry_reference_link():
     r = reflection_geometry(REF)
     assert r.d1 + r.d2 == pytest.approx(REF.d)

@@ -145,8 +145,8 @@ def test_gini_rows_matches_gini_bit_for_bit():
 
 
 def _lemma_trial_reference(n, m, powers, split_seed):
-    """One split-lemma trial as the CLI ran it trial by trial: three
-    ``PdpRecord``s and three ``gini`` calls.
+    """One split-lemma trial on its own: three ``PdpRecord``s and three
+    ``gini`` calls, the random split seeded by ``split_seed``.
     """
     pdp = PdpRecord(delays=np.arange(n) * 50e-9, powers=powers[:n])
     g0 = gini(pdp)
@@ -156,14 +156,14 @@ def _lemma_trial_reference(n, m, powers, split_seed):
 
 
 def _every_cell_twice(seed, max_n=50, max_m=8):
-    """Trials (n, m, powers, split_seeds) covering every (n, m) cell twice,
-    n = 2, n = max_n and m = 1 included, in shuffled order."""
+    """Trials (n, m, powers) covering every (n, m) cell twice, n = 2,
+    n = max_n and m = 1 included, in shuffled order."""
     rng = np.random.default_rng(seed)
     n, m = np.meshgrid(np.arange(2, max_n + 1), np.arange(1, max_m + 1))
     n, m = np.tile(n.ravel(), 2), np.tile(m.ravel(), 2)
     order = rng.permutation(n.size)
     n, m = n[order], m[order]
-    return n, m, rng.exponential(1.0, size=(n.size, max_n)), rng.integers(0, 2**63, size=n.size)
+    return n, m, rng.exponential(1.0, size=(n.size, max_n))
 
 
 def _record_random_splits(monkeypatch):
@@ -183,10 +183,10 @@ def test_split_lemma_batch_matches_the_trial_loop_in_every_cell():
     """The gaps equal the trial loop's bit for bit.  The random splits are
     drawn from another stream than split_random's, so the violation flags
     agree only in being all False, as the lemma requires of both."""
-    n, m, powers, seeds = _every_cell_twice(11)
-    gaps, violations = split_lemma_batch(n, m, powers, seeds)
-    expected = [_lemma_trial_reference(int(a), int(b), row, int(s))
-                for a, b, row, s in zip(n, m, powers, seeds)]
+    n, m, powers = _every_cell_twice(11)
+    gaps, violations = split_lemma_batch(n, m, powers, np.random.default_rng(11))
+    expected = [_lemma_trial_reference(int(a), int(b), row, i)
+                for i, (a, b, row) in enumerate(zip(n, m, powers))]
     assert gaps.tolist() == [gap for gap, _ in expected]
     assert violations.tolist() == [bad for _, bad in expected] == [False] * n.size
 
@@ -207,7 +207,7 @@ def test_split_lemma_batch_flags_a_violation_beyond_its_tolerance(monkeypatch):
     monkeypatch.setattr(sparsity, "_random_split_powers", equal_split_moved_toward_its_mean)
     powers = np.tile(np.random.default_rng(2).exponential(1.0, size=6), (2, 1))
     _, violations = split_lemma_batch(np.array([6, 6]), np.array([3, 3]), powers,
-                                      np.array([11, 13]))
+                                      np.random.default_rng(11))
     assert violations.tolist() == [True, False]
     g_eq = gini_rows(np.repeat(powers / 3, 3, axis=1))
     drop = g_eq - gini_rows(equal_split_moved_toward_its_mean(powers, 3, np.random.default_rng()))
@@ -216,8 +216,8 @@ def test_split_lemma_batch_flags_a_violation_beyond_its_tolerance(monkeypatch):
 
 def test_split_lemma_batch_splits_each_power_into_shares_of_it(monkeypatch):
     calls = _record_random_splits(monkeypatch)
-    n, m, powers, seeds = _every_cell_twice(12)
-    split_lemma_batch(n, m, powers, seeds)
+    n, m, powers = _every_cell_twice(12)
+    split_lemma_batch(n, m, powers, np.random.default_rng(12))
     # one draw per cell, in sorted cell order
     assert [(p.shape[1], mk) for p, mk, _ in calls] == sorted({*zip(n.tolist(), m.tolist())})
     for p, mk, sub in calls:
@@ -233,7 +233,7 @@ def test_split_lemma_batch_shares_follow_the_dirichlet_law(monkeypatch):
     calls = _record_random_splits(monkeypatch)
     rows = 20_000
     powers = np.random.default_rng(5).exponential(1.0, size=(rows, 2))
-    split_lemma_batch(np.full(rows, 2), np.full(rows, 2), powers, np.arange(rows))
+    split_lemma_batch(np.full(rows, 2), np.full(rows, 2), powers, np.random.default_rng(6))
     ((p, _, sub),) = calls
     u = np.sort((sub[:, ::2] / p).ravel())
     ranks = np.arange(1, u.size + 1)
@@ -243,12 +243,12 @@ def test_split_lemma_batch_shares_follow_the_dirichlet_law(monkeypatch):
 
 def test_split_lemma_batch_is_deterministic(monkeypatch):
     calls = _record_random_splits(monkeypatch)
-    n, m, powers, seeds = _every_cell_twice(13)
-    first, second = split_lemma_batch(n, m, powers, seeds), split_lemma_batch(n, m, powers, seeds)
+    n, m, powers = _every_cell_twice(13)
+    first, second = (split_lemma_batch(n, m, powers, np.random.default_rng(13)) for _ in range(2))
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     half = len(calls) // 2
     assert all(np.array_equal(a[2], b[2]) for a, b in zip(calls[:half], calls[half:]))
     # the gaps do not depend on the trials' order
     order = np.random.default_rng(14).permutation(n.size)
-    gaps, _ = split_lemma_batch(n[order], m[order], powers[order], seeds[order])
+    gaps, _ = split_lemma_batch(n[order], m[order], powers[order], np.random.default_rng(15))
     assert gaps.tolist() == first[0][order].tolist()

@@ -21,7 +21,6 @@ from mariner_chan.swift import (
     MotionConfig,
     RotationState,
     decompose_scales,
-    effective_heights,
     empirical_pdf,
     los_direction,
     pattern_loss,
@@ -97,7 +96,7 @@ def test_rotated_los_z_matches_the_rotation_matrix():
 
 
 def test_effective_heights_calm_sea():
-    ht, hr, d1 = effective_heights(REF, _calm_harmonics(), t=0.0)
+    (ht,), (hr,), (d1,) = solve_effective_heights(REF, _calm_harmonics(), [0.0])
     assert ht == pytest.approx(25.0)
     assert hr == pytest.approx(4.0)
     assert d1 == pytest.approx(3000.0 * 25.0 / 29.0)
@@ -134,11 +133,10 @@ def test_crest_reaching_antenna_names_first_failing_time():
     t_crest = 2.0
     h = _crest_sea(t_crest)
     period = h.periods[0]
-    for t in (0.0, 1.0, 1.9, 2.1):
-        ht, hr, _ = effective_heights(REF, h, t)
-        assert ht > 0 and hr > 0
+    ht, hr, _ = solve_effective_heights(REF, h, [0.0, 1.0, 1.9, 2.1])
+    assert np.all(ht > 0) and np.all(hr > 0)
     with pytest.raises(RuntimeError, match=r"wave crest reaches an antenna at t=2\.0:"):
-        effective_heights(REF, h, t_crest)
+        solve_effective_heights(REF, h, [t_crest])
     # the crest recurs one period later; the earlier step is the one named
     times = np.array([0.0, 0.5, 1.0, 1.5, t_crest, 2.5, t_crest + period])
     with pytest.raises(RuntimeError, match=r"wave crest reaches an antenna at t=2\.0:"):
@@ -157,7 +155,7 @@ def test_first_failing_time_is_named_across_both_failure_kinds():
 def test_unbracketed_residual_names_first_failing_time():
     h = HarmonicSet(amplitudes=np.array([30.0, 10.0, 6.0]),
                     omegas=np.array([0.5, 1.0, 1.5]), phases=np.array([0.1, 2.0, 4.0]))
-    effective_heights(REF, h, 2.0)
+    solve_effective_heights(REF, h, [2.0])
     with pytest.raises(RuntimeError, match=r"failed at t=2\.5: .* do not bracket a root"):
         solve_effective_heights(REF, h, np.arange(0.0, 20.0, 0.5))
 
@@ -167,7 +165,7 @@ def test_unbracketed_residual_names_first_failing_time():
 @pytest.mark.parametrize("v_w", [5.6, 7.7])
 def test_simulate_swift_matches_stepwise_solve(d, h_r, v_w):
     # criterion-6 setups, shortened: the whole-axis solve must give exactly
-    # the series built one step at a time from the scalar entry point
+    # the series built one step at a time, each step solved on its own
     geom = LinkGeometry(5.8e9, 25.0, h_r, d)
     cfg = WaveSpectrumConfig(v_w=v_w, seed=3)
     motion, pattern = MotionConfig(), AntennaPattern()
@@ -176,7 +174,7 @@ def test_simulate_swift_matches_stepwise_solve(d, h_r, v_w):
     harmonics, sea = build_harmonics(cfg), SeaStateParams(v_w=v_w)
     level = np.empty_like(s.t)
     for i, t in enumerate(s.t):
-        ht, hr, _ = effective_heights(geom, harmonics, t)
+        (ht,), (hr,), _ = solve_effective_heights(geom, harmonics, [t])
         state = rotation_angles(motion, t)
         level[i] = (-mtr_path_loss(geom, sea, ht, hr) - pattern_loss(state, geom, pattern)
                     - polarization_loss(state))
