@@ -88,11 +88,14 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """One column per ``{header: array}`` entry, each float as its shortest round-trip repr."""
+    """One column per ``{header: array}`` entry, each float as its shortest round-trip repr.
+
+    The bytes are ``csv.writer``'s (excel dialect: CRLF row ends), written in one
+    call; no column name or number needs that dialect's quoting.
+    """
+    rows = zip(*(map(repr, c.tolist()) for c in columns.values()))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(zip(*(c.tolist() for c in columns.values())))
+        fh.write("\r\n".join([",".join(columns), *map(",".join, rows)]) + "\r\n")
 
 
 def _write_json(path: Path, obj) -> None:

@@ -65,9 +65,9 @@ def extract_cir(rx: np.ndarray, cfg: ZcConfig, delta_tau: float = 50e-9) -> Cir:
     rx = np.asarray(rx, dtype=complex)
     if rx.size < cfg.length:
         raise ValueError(f"need at least {cfg.length} samples, got {rx.size}")
-    rx = rx[: cfg.length]
     ref = zc_sequence(cfg)
-    taps = np.fft.ifft(np.fft.fft(rx) * np.conj(np.fft.fft(ref))) / cfg.length
+    # correlating with ref is convolving with h[m] = conj(ref[-m mod L])
+    taps = _circular_convolve(rx[: cfg.length], np.conj(np.roll(ref[::-1], 1))) / cfg.length
     return Cir(taps=taps, delta_tau=delta_tau)
 
 
@@ -87,6 +87,9 @@ def simulate_link(true_cir: Cir, cfg: ZcConfig, snr_db: float,
     the channel plus complex white Gaussian noise at the given per-sample SNR
     (noise power relative to the mean received sample power).
     """
+    if true_cir.taps.size > cfg.length:
+        raise ValueError(f"channel has {true_cir.taps.size} taps, more than the "
+                         f"sequence length {cfg.length}")
     if not math.isfinite(snr_db):
         if snr_db > 0:  # infinite SNR: noiseless
             return _circular_convolve(zc_sequence(cfg), true_cir.taps)
@@ -101,9 +104,17 @@ def simulate_link(true_cir: Cir, cfg: ZcConfig, snr_db: float,
 
 
 def _circular_convolve(seq: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    h = np.zeros(seq.size, dtype=complex)
-    h[: taps.size] = taps
-    return np.fft.ifft(np.fft.fft(seq) * np.fft.fft(h))
+    """Length-L circular convolution of ``seq`` with K <= L ``taps``: the linear
+    convolution through power-of-two FFTs, its last K - 1 points folded onto
+    the first. The default L = 65535 = 3*5*17*257 would otherwise put a
+    radix-257 pass in every L-point transform.
+    """
+    n = seq.size + taps.size - 1
+    m = 1 << (n - 1).bit_length()
+    full = np.fft.ifft(np.fft.fft(seq, m) * np.fft.fft(taps, m))
+    out = full[: seq.size]
+    out[: n - seq.size] += full[seq.size: n]
+    return out
 
 
 def save_iq(path, samples: np.ndarray) -> None:

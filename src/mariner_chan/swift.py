@@ -221,6 +221,8 @@ def simulate_swift(
     """
     if not 0 < dt <= duration < math.inf:
         raise ValueError(f"need finite dt > 0 and duration >= dt, got {dt}, {duration}")
+    if duration / dt >= 10**6:
+        raise ValueError(f"time axis ({duration}, {dt}) has more than {10**6} steps")
     if seed is not None:
         sea_cfg = replace(sea_cfg, seed=seed)
     if sea is None:

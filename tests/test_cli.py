@@ -402,6 +402,30 @@ def test_csv_columns_round_trip_bit_for_bit(tmp_path_factory, rows):
         assert back.tobytes() == column.tobytes()
 
 
+def _csv_writer_bytes(path, columns):
+    """The file ``csv.writer`` writes for the columns: the bytes ``_write_csv`` must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(zip(*(c.tolist() for c in columns.values())))
+    return path.read_bytes()
+
+
+_EDGES = np.array([*_CSV_EDGES, 1e308])
+
+
+@pytest.mark.parametrize("columns", [
+    {"x": _EDGES},
+    {"group": np.array([0, 0, 1, 12]).astype(int), "fading_db": np.array([0.5, -0.25, 1e-9, 3.0])},
+    {"d_m": np.array([100.0]), "pl_db": np.array([72.5])},
+    {"delay_ns": np.array([]), "power_linear": np.array([])},
+    {"a": _EDGES, "b": _EDGES[::-1] * 0.1},
+], ids=["edges", "int-groups", "one-row", "zero-rows", "two-columns"])
+def test_write_csv_bytes_are_csv_writers(tmp_path, columns):
+    cli._write_csv(tmp_path / "out.csv", columns)
+    assert (tmp_path / "out.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", columns)
+
+
 def _one_run_per_command(tmp):
     """Small argv for every command, in an order where each input exists."""
     (tmp / "grouped.csv").write_text("group,amplitude\n0,1.0\n0,1.2\n1,2.0\n1,2.4\n")
@@ -537,6 +561,9 @@ _INVALID = {
                                     "--config", "{tmp}/fit_d0.json"],
     "pathloss-huge-sweep": ["pathloss", "eval", "--model", "fspl", "--dmin", "1",
                             "--dmax", "1e300", "--step", "1"],
+    "swift-sim-huge-duration": ["swift", "sim", "--duration", "1e300"],
+    "sounder-sim-more-taps-than-length": ["sounder", "sim", "--length", "255",
+                                          "--n-taps", "300"],
 }
 
 
@@ -560,6 +587,9 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv):
     ("pathloss-nan-dmin", "bad sweep range (nan, 200.0, 10.0)"),
     ("pathloss-inf-dmax", "bad sweep range (100.0, inf, 10.0)"),
     ("pathloss-huge-sweep", "sweep (1.0, 1e+300, 1.0) has more than 1000000 points"),
+    ("swift-sim-huge-duration", "time axis (1e+300, 0.1) has more than 1000000 steps"),
+    ("sounder-sim-more-taps-than-length",
+     "channel has 300 taps, more than the sequence length 255"),
     ("config-geometry-list", "config block 'geometry' must be a JSON object"),
     ("fit-list", "config block 'fit' must be a JSON object"),
     ("fit-unknown-key", "unknown key in config block 'fit': 'nn2'"),

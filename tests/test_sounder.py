@@ -10,6 +10,7 @@ from mariner_chan.sounder import (
     Cir,
     IQ_MAGIC,
     ZcConfig,
+    _circular_convolve,
     extract_cir,
     load_iq,
     pdp_from_cir,
@@ -49,6 +50,58 @@ def test_noisy_loop_recovers_tap_powers():
     est = pdp_from_cir(extract_cir(rx, cfg), max_taps=5)
     err_db = 10 * np.log10(est.powers / np.abs(taps) ** 2)
     assert float(np.max(np.abs(err_db))) < 0.5
+
+
+def _fft_tolerance(n: int, exact: np.ndarray) -> float:
+    """eps * log2(M) of the largest exact output, M the padded transform length for n points."""
+    return np.finfo(float).eps * math.log2(1 << (n - 1).bit_length()) * float(np.max(np.abs(exact)))
+
+
+def _l_point_convolve(seq, taps):
+    """The unpadded L-point transform path, as the error to be no worse than."""
+    h = np.zeros(seq.size, dtype=complex)
+    h[: taps.size] = taps
+    return np.fft.ifft(np.fft.fft(seq) * np.fft.fft(h))
+
+
+@pytest.mark.parametrize("length", [63, 255, 65535, 65537])
+@pytest.mark.parametrize("n_taps", [1, 5, "L"])
+def test_circular_convolve_matches_the_exact_sum(length, n_taps):
+    """Against sum_m taps[m] * seq[(k - m) mod L] in extended precision: within
+    eps * log2(M) of the largest output, and at the long lengths, whose L-point
+    transforms take a radix-257 or a Bluestein pass, no worse than those."""
+    k = length if n_taps == "L" else n_taps
+    rng = np.random.default_rng(length + k)
+    seq = zc_sequence(ZcConfig(length=length))
+    taps = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    wide = seq.astype(np.clongdouble)
+    if k <= 5:
+        lags = np.arange(length)
+        exact = sum(taps[m] * np.roll(wide, m) for m in range(k))
+    else:  # O(L) per lag: every lag up to L = 255, the first 8 beyond
+        lags = np.arange(length if length <= 255 else 8)
+        exact = np.array([np.sum(taps * wide[(lag - np.arange(k)) % length]) for lag in lags])
+    out = _circular_convolve(seq, taps)
+    assert out.shape == (length,)
+    err = float(np.max(np.abs(out[lags] - exact)))
+    assert err <= _fft_tolerance(length + k - 1, exact)
+    if length >= 65535:
+        assert err <= float(np.max(np.abs(_l_point_convolve(seq, taps)[lags] - exact)))
+
+
+@pytest.mark.parametrize("length, n_lags", [(255, 255), (65535, 8)])
+@pytest.mark.parametrize("root", [1, 7])
+def test_extract_cir_is_the_direct_circular_correlation(length, n_lags, root):
+    cfg = ZcConfig(length=length, root=root)
+    rx = simulate_link(Cir(taps=np.array([1.0, 0.4 - 0.3j, 0.1j, 0.05])), cfg,
+                       snr_db=20.0, seed=length)
+    ref = zc_sequence(cfg).astype(np.clongdouble)
+    n = np.arange(length)
+    direct = np.array([np.sum(rx * np.conj(ref[(n - lag) % length]))
+                       for lag in range(n_lags)]) / length
+    taps = extract_cir(np.concatenate([rx, rx[:3]]), cfg).taps
+    assert taps.shape == (length,)
+    assert float(np.max(np.abs(taps[:n_lags] - direct))) <= _fft_tolerance(2 * length - 1, direct)
 
 
 def test_pdp_from_cir_delay_grid():
@@ -113,3 +166,5 @@ def test_validation():
     with pytest.raises(ValueError):
         simulate_link(Cir(taps=np.array([1.0 + 0j])), ZcConfig(length=255),
                       snr_db=-math.inf)
+    with pytest.raises(ValueError, match="channel has 300 taps, more than the sequence length 255"):
+        simulate_link(Cir(taps=np.ones(300)), ZcConfig(length=255), snr_db=30.0)
