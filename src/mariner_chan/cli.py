@@ -527,7 +527,11 @@ _GROUP_HELP = {"pathloss": "path loss model sweeps and fits", "swift": "SWIFT fa
                "sounder": "Zadoff-Chu sounding simulation"}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every command's and group's parser, so help and errors list them all; a
+    command's own arguments only when each of its words is a token of ``argv``
+    (argparse enters a subparser only on its literal word)."""
+    tokens = set(argv)
     parser = argparse.ArgumentParser(prog="mariner-chan",
                                      description="Maritime channel modeling toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -548,6 +552,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, cmd in _COMMANDS.items():
         p = add_parser(cmd.words, cmd.help)
         p.set_defaults(command=name)
+        if not tokens.issuperset(cmd.words):
+            continue
         # no default: a subcommand's would overwrite its parent's (sparsity --out X lemma-check)
         p.add_argument("--config", default=argparse.SUPPRESS,
                        help="JSON config file; flags override file values")
@@ -619,7 +625,8 @@ def _run_replay(manifest_path: str, out_override: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         if args.cmd == "replay":
             _run_replay(args.manifest, args.out)

@@ -548,6 +548,8 @@ def _fit_asym_laplace(x: np.ndarray) -> tuple[AsymLaplace, bool, int]:
 # lower-end trials before the Rician fit settles on s = 0: below
 # mean(x)/2**21 the likelihood differs from that at s = 0 by O(n*nu^4)
 _RICIAN_HALVINGS = 20
+# a lower-end residual at or below this times nu may be rounding's sign (_fit_rician)
+_RICIAN_ROUNDING = 32.0 * np.finfo(float).eps
 
 
 def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
@@ -556,7 +558,11 @@ def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
     m2 = mean(x^2), A = I1/I0 and c = 2*nu/(m2 - nu^2); one root in nu.
     Near sqrt(m2) the residual is negative (Jensen); nu = 0 is always a
     trivial root, so the lower end starts at mean(x)/2 and is halved while
-    the residual is <= 0.  If no positive lower end is found, s = 0
+    the residual is <= 32*eps*nu, the bound on its rounding: each term of
+    mean(x*A) carries about 16 eps (I1e's and I0e's quoted peak errors, 9
+    and 2.4 eps, and five roundings in c, z, the ratio and the product),
+    doubled for the mean.  Near 0, g/nu = O(nu^2) falls under that bound
+    and its sign is rounding's.  If no lower end above it is found, s = 0
     (Rayleigh) is the boundary MLE.  Otherwise Newton steps, each one that
     leaves the sign bracket [lo, sqrt(m2)*(1 - 1e-12)] replaced by
     bisection, run from the moment estimate nu^4 = 2*m2^2 - m4 (else the
@@ -586,7 +592,7 @@ def _fit_rician(x: np.ndarray) -> tuple[Rician, bool, int]:
 
     lo = 0.5 * float(np.mean(x))
     for evals in range(1, _RICIAN_HALVINGS + 1):
-        if residual(lo)[0] > 0:
+        if residual(lo)[0] > _RICIAN_ROUNDING * lo:
             break
         lo *= 0.5
     else:

@@ -62,12 +62,15 @@ def gini(p: PdpRecord) -> float:
 def gini_rows(powers: np.ndarray) -> np.ndarray:
     """Gini index along the last axis of a power array, one row at a time
     with the same pairwise sums, so a row equals ``gini`` of its profile."""
-    powers = np.sort(powers, axis=-1)
-    total = np.sum(powers, axis=-1, keepdims=True)
+    return _gini_sorted(np.sort(powers, axis=-1))
+
+
+def _gini_sorted(powers: np.ndarray) -> np.ndarray:
+    """``gini_rows`` of rows already sorted ascending."""
+    total = np.add.reduce(powers, axis=-1, keepdims=True)
     n = powers.shape[-1]
-    ranks = np.arange(1, n + 1)
-    weights = (n - ranks + 0.5) / n
-    return 1.0 - 2.0 * np.sum(powers / total * weights, axis=-1)
+    weights = (n - np.arange(1, n + 1) + 0.5) / n
+    return 1.0 - 2.0 * np.add.reduce(powers / total * weights, axis=-1)
 
 
 def rician_k_from_pdp(p: PdpRecord) -> tuple[float, float]:
@@ -137,14 +140,19 @@ def split_lemma_batch(n: np.ndarray, m: np.ndarray, powers: np.ndarray,
     """Split lemmas for trial i on the first n[i] powers of row i, split m[i]
     ways: the gap |G(split_equal) - G| and whether a Dirichlet(1) random split
     falls below the equal split by more than 1e-12.  The random splits are drawn
-    from ``rng``, one draw per (n, m) cell in sorted order.
+    from ``rng``, one draw per (n, m) cell in sorted order.  The cells come
+    from one stable sort of the trials; each row is sorted once, and its
+    equal split, the sorted row over m repeated m times, needs no sort.
     """
     gaps, violations = np.empty(n.size), np.zeros(n.size, dtype=bool)
-    for nk, mk in sorted(set(zip(n.tolist(), m.tolist()))):
-        idx = np.flatnonzero((n == nk) & (m == mk))
+    order = np.lexsort((m, n))
+    cells = np.split(order, np.flatnonzero(np.diff(n[order]) | np.diff(m[order])) + 1)
+    for idx in cells if n.size else ():
+        nk, mk = int(n[idx[0]]), int(m[idx[0]])
         p = powers[idx, :nk]
-        g_eq = gini_rows(np.repeat(p / mk, mk, axis=1))
-        gaps[idx] = np.abs(g_eq - gini_rows(p))
+        p_sorted = np.sort(p, axis=1)
+        g_eq = _gini_sorted(np.repeat(p_sorted / mk, mk, axis=1))
+        gaps[idx] = np.abs(g_eq - _gini_sorted(p_sorted))
         violations[idx] = gini_rows(_random_split_powers(p, mk, rng)) < g_eq - 1e-12
     return gaps, violations
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -247,12 +248,12 @@ def _lemma_draws(rng, n_trials, max_n=50, max_m=8):
     return n, m, rng.exponential(1.0, size=(n_trials, max_n))
 
 
-def _lemma_report_reference(n_trials, seed):
+def _lemma_report_reference(n_trials, seed, max_n=50, max_m=8):
     """The lemma-check report built trial by trial from the documented single
     stream: n, m and powers, then Dirichlet(1) shares for each (n, m) cell in
     sorted order."""
     rng = np.random.default_rng(seed)
-    n, m, powers = _lemma_draws(rng, n_trials)
+    n, m, powers = _lemma_draws(rng, n_trials, max_n, max_m)
     cells = sorted(set(zip(n.tolist(), m.tolist())))
     shares = {(nk, mk): iter(rng.dirichlet(np.ones(mk), size=(np.sum((n == nk) & (m == mk)), nk)))
               for nk, mk in cells}
@@ -295,6 +296,15 @@ def test_lemma_check_matches_the_trial_loop_byte_for_byte(tmp_path, seed):
                "--out", str(tmp_path)) == 0
     reference = tmp_path / "reference.json"
     _write_json(reference, _lemma_report_reference(1000, seed))
+    assert (tmp_path / "lemma_check.json").read_bytes() == reference.read_bytes()
+
+
+def test_lemma_check_matches_the_trial_loop_when_m_outranges_n(tmp_path):
+    # m up to 12 beside n up to 3: a cell key packed as 10*n + m would merge (2, 12) with (3, 2)
+    assert run("sparsity", "lemma-check", "--n-trials", "1000", "--seed", "6",
+               "--max-n", "3", "--max-m", "12", "--out", str(tmp_path)) == 0
+    reference = tmp_path / "reference.json"
+    _write_json(reference, _lemma_report_reference(1000, 6, max_n=3, max_m=12))
     assert (tmp_path / "lemma_check.json").read_bytes() == reference.read_bytes()
 
 
@@ -636,3 +646,68 @@ def test_runtime_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert run("geometry", "--out", str(tmp_path)) == 1
     assert capsys.readouterr().err.startswith("runtime error: ")
     assert not (tmp_path / "manifest.json").exists()
+
+
+def _help(capsys, *argv):
+    """What ``mariner-chan argv`` prints and its exit code, for a run that exits in argparse."""
+    with pytest.raises(SystemExit) as exit_:
+        run(*argv)
+    out = capsys.readouterr()
+    return exit_.value.code, out.out + out.err
+
+
+def test_help_lists_every_command_and_group(capsys):
+    code, text = _help(capsys, "--help")
+    assert code == 0
+    for word in {*(cmd.words[0] for cmd in cli._COMMANDS.values()), *cli._GROUP_HELP, "replay"}:
+        assert word in text
+    for group, group_help in cli._GROUP_HELP.items():
+        assert group_help in text
+        code, text_group = _help(capsys, group, "--help")
+        assert code == 0
+        for cmd in cli._COMMANDS.values():
+            if cmd.words[0] == group and len(cmd.words) == 2:
+                assert cmd.words[1] in text_group and cmd.help in text_group
+
+
+@pytest.mark.parametrize("name", sorted(cli._COMMANDS))
+def test_command_help_lists_every_flag(capsys, name):
+    cmd = cli._COMMANDS[name]
+    code, text = _help(capsys, *cmd.words, "--help")
+    assert code == 0 and cmd.help in text
+    flags = ["--config", "--out", *(option for option, _ in cmd.flags),
+             *(f"--{key.replace('_', '-')}"
+               for block in cmd.blocks for key in cli._BLOCKS[block][1]),
+             *(["--seed"] if cmd.seed else [])]
+    for flag in flags:
+        assert re.search(rf"(^|[\s\[,]){re.escape(flag)}\b", text), flag
+
+
+def test_an_unknown_command_lists_every_choice(capsys):
+    code, text = _help(capsys, "nope")
+    assert code == 2 and "invalid choice: 'nope'" in text
+    for word in {*(cmd.words[0] for cmd in cli._COMMANDS.values()), "replay"}:
+        assert f"'{word}'" in text
+    code, text = _help(capsys, "smallscale", "nope")
+    assert code == 2 and all(f"'{word}'" in text for word in ("fit", "sample", "gof"))
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["mariner-chan", "geometry", "--out", str(tmp_path)])
+    assert main() == 0
+    assert (tmp_path / "thresholds.json").exists()
+
+
+def test_a_command_word_as_a_flag_value(tmp_path, monkeypatch):
+    # "fit" also names the command pathloss fit; here it is the output directory
+    monkeypatch.chdir(tmp_path)
+    assert run("pathloss", "eval", "--out", "fit", "--model", "fspl", "--dmin", "1000",
+               "--dmax", "2000", "--step", "500") == 0
+    assert (tmp_path / "fit" / "pathloss.csv").exists()
+
+
+def test_a_parser_holds_only_the_invoked_commands_arguments():
+    parser = cli._build_parser(["geometry"])
+    assert parser.parse_args(["geometry", "--h-t", "30"]).h_t == 30.0
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sparsity", "--pdp", "pdp.csv"])

@@ -412,6 +412,21 @@ def test_rician_fit_on_rayleigh_data():
     assert boundary == [1, 4, 8]  # the sets without an interior root
 
 
+def test_rician_fit_takes_a_rounding_root_for_s_0():
+    # 2*m2^2 < m4 here, yet at the 19th halving the residual reads +eps*nu/2, rounding's
+    # sign; before the rounding bound the fit bisected that lower end for 40 more passes
+    data = EnvelopeSamples(sample(Rician(s=0.2, sigma=0.5), 1000, seed=33))
+    x, lo = data.values, 0.5 * float(np.mean(data.values)) / 2**18
+    assert 2.0 * np.mean(x * x) ** 2 < np.mean(x**4)
+    assert 0 < _rician_residual(lo, x) <= smallscale._RICIAN_ROUNDING * lo
+    rep = fit_mle("rician", data)
+    assert rep.model.s == 0 and rep.n_evals == smallscale._RICIAN_HALVINGS <= 28
+    # the likelihood at that root, nu = 3.27e-6, is s = 0's to rounding: they differ by O(n*nu^4)
+    nu = 3.27e-6
+    root = Rician(s=nu, sigma=math.sqrt(0.5 * (np.mean(x * x) - nu * nu)))
+    assert abs(rep.loglik - root.loglik(x)) <= 1e-12 * x.size
+
+
 @pytest.mark.parametrize("model", [Rician(s=0.994, sigma=0.081), Rician(s=0.992, sigma=0.087)],
                          ids=str)
 def test_rician_fit_takes_few_residual_passes(model):

@@ -144,6 +144,18 @@ def test_gini_rows_matches_gini_bit_for_bit():
         assert gini_rows(rows).tolist() == expected
 
 
+def test_gini_rows_is_the_gini_of_rows_sorted_once():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 50, 129):
+        rows = rng.exponential(1.0, size=(20, n))
+        rows[0, : n // 2] = 0.0
+        assert gini_rows(rows).tobytes() == sparsity._gini_sorted(np.sort(rows)).tobytes()
+        for m in (1, 2, 3, 8, 12):
+            # the equal split of the sorted row is the sorted equal split, bit for bit
+            assert (np.repeat(np.sort(rows) / m, m, axis=1).tobytes()
+                    == np.sort(np.repeat(rows / m, m, axis=1)).tobytes())
+
+
 def _lemma_trial_reference(n, m, powers, split_seed):
     """One split-lemma trial on its own: three ``PdpRecord``s and three
     ``gini`` calls, the random split seeded by ``split_seed``.
@@ -225,6 +237,19 @@ def test_split_lemma_batch_splits_each_power_into_shares_of_it(monkeypatch):
         assert np.all(sub >= 0)
         # each MPC's m sub-powers sum to its power within a few ulps
         assert np.all(np.abs(sub.reshape(*p.shape, mk).sum(axis=2) - p) <= 4 * np.spacing(p))
+
+
+def test_split_lemma_batch_draws_each_cells_rows_in_trial_order(monkeypatch):
+    """m up to 12 beside n up to 3, where a cell key packed as 10*n + m would
+    merge (2, 12) with (3, 2): one draw per cell in sorted order, on the
+    cell's rows as given, in ascending trial order."""
+    calls = _record_random_splits(monkeypatch)
+    n, m, powers = _every_cell_twice(16, max_n=3, max_m=12)
+    split_lemma_batch(n, m, powers, np.random.default_rng(16))
+    cells = sorted({*zip(n.tolist(), m.tolist())})
+    assert [(p.shape[1], mk) for p, mk, _ in calls] == cells
+    for (nk, mk), (p, _, _) in zip(cells, calls):
+        assert p.tobytes() == powers[(n == nk) & (m == mk), :nk].tobytes()
 
 
 def test_split_lemma_batch_shares_follow_the_dirichlet_law(monkeypatch):
