@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
-Every run resolves its configuration (JSON config file plus flag overrides),
-executes one analysis, writes plot-ready CSV/JSON outputs into the output
-directory, and records a ``manifest.json`` with the resolved configuration,
-seed, config hash, and toolkit version.  ``mariner-chan replay manifest.json``
+Every run resolves its configuration (JSON config file plus flag overrides);
+its command's handler computes the outputs, ``{file name: content}``, and
+writes nothing.  ``_execute`` then makes the output directory, writes each
+output by its suffix (CSV, JSON, IQ) and last a ``manifest.json`` with the
+resolved configuration, seed, config hash, and toolkit version; a run that
+fails creates nothing.  ``mariner-chan replay manifest.json``
 re-executes a recorded run and reproduces byte-identical outputs.
 
 ``_COMMANDS`` is the one place a command is defined; the argument parser,
@@ -206,23 +208,15 @@ def _write_manifest(outdir: Path, command: str, resolved: dict) -> None:
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _outdir(resolved: dict) -> Path:
-    out = Path(resolved["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# command implementations (dispatch on resolved config for replayability)
+# command implementations: resolved config -> {output file name: content}
 # ---------------------------------------------------------------------------
 
-def _run_geometry(resolved: dict) -> None:
-    geom = _geometry_from(resolved["geometry"])
-    th = thresholds(geom)
-    out = _outdir(resolved)
-    _write_json(out / "thresholds.json", {
+def _run_geometry(resolved: dict) -> dict:
+    th = thresholds(_geometry_from(resolved["geometry"]))
+    return {"thresholds.json": {
         "d_break_m": th.d_break, "d_06f_m": th.d_06f, "d_los_vision_m": th.d_los_vision,
-    })
+    }}
 
 
 _PL_MODELS = ("fspl", "two-ray", "mtr", "ci", "dual-ci", "dual-ci-mtr")
@@ -243,15 +237,18 @@ def _pl_evaluator(resolved: dict):
         ci = CiParams(n=p.get("n", 2.0), d0=p.get("d0", 1.0))
         return lambda d: ci_path_loss(ci, geom.f_c, d)
     if model in ("dual-ci", "dual-ci-mtr"):
-        ds = DualSlopeParams(n1=p.get("n1", 2.0), n2=p.get("n2", 4.0),
-                             d_break=p.get("d_break") or break_distance(geom))
+        try:
+            ds = DualSlopeParams(n1=p.get("n1", 2.0), n2=p.get("n2", 4.0),
+                                 d_break=p["d_break"] if "d_break" in p else break_distance(geom))
+        except ValueError as exc:
+            raise ValidationError(f"config block 'fit' {p}: {exc}") from exc
         if model == "dual-ci":
             return lambda d: dual_ci_path_loss(ds, geom.f_c, d, d0=p.get("d0", 1.0))
         return lambda d: dual_ci_mtr_path_loss(ds, geom, sea, d)
     raise ValidationError(f"unknown path loss model {model!r}; expected one of {_PL_MODELS}")
 
 
-def _run_pathloss_eval(resolved: dict) -> None:
+def _run_pathloss_eval(resolved: dict) -> dict:
     evaluate = _pl_evaluator(resolved)
     dmin, dmax, step = resolved["dmin"], resolved["dmax"], resolved["step"]
     if not (0 < dmin <= dmax < math.inf and 0 < step < math.inf):
@@ -259,12 +256,10 @@ def _run_pathloss_eval(resolved: dict) -> None:
     if (dmax - dmin) / step >= 10**6:
         raise ValidationError(f"sweep ({dmin}, {dmax}, {step}) has more than {10**6} points")
     distances = np.arange(dmin, dmax + 0.5 * step, step)
-    pl = evaluate(distances)
-    out = _outdir(resolved)
-    _write_csv(out / "pathloss.csv", {"d_m": distances, "pl_db": pl})
+    return {"pathloss.csv": {"d_m": distances, "pl_db": evaluate(distances)}}
 
 
-def _run_pathloss_fit(resolved: dict) -> None:
+def _run_pathloss_fit(resolved: dict) -> dict:
     d, pl = _read_csv_columns(resolved["input"], ["d_m", "pl_db"])
     geom = _geometry_from(resolved["geometry"])
     sea = _sea_from(resolved["sea"])
@@ -279,14 +274,13 @@ def _run_pathloss_fit(resolved: dict) -> None:
                   "d_break_m": report.params.d_break}
     else:
         raise ValidationError(f"model {model!r} is not fittable; use ci, dual-ci, dual-ci-mtr")
-    out = _outdir(resolved)
-    _write_json(out / "fit.json", {
+    return {"fit.json": {
         "model": model, "params": params, "rmse_db": report.rmse_db,
         "n_samples": report.n_samples, "warnings": report.warnings,
-    })
+    }}
 
 
-def _run_swift_sim(resolved: dict) -> None:
+def _run_swift_sim(resolved: dict) -> dict:
     geom = _geometry_from(resolved["geometry"])
     sea_block = resolved["sea"]
     sea = _sea_from(sea_block)
@@ -302,41 +296,34 @@ def _run_swift_sim(resolved: dict) -> None:
     series = simulate_swift(geom, sea_cfg, motion, AntennaPattern(),
                             duration=resolved["duration"], dt=resolved["dt"],
                             seed=seed, sea=sea)
-    out = _outdir(resolved)
-    _write_csv(out / "swift.csv", {"t_s": series.t, "fading_db": series.fading_db})
+    return {"swift.csv": {"t_s": series.t, "fading_db": series.fading_db}}
 
 
-def _run_swift_pdf(resolved: dict) -> None:
+def _run_swift_pdf(resolved: dict) -> dict:
     (fading,) = _read_csv_columns(resolved["input"], ["fading_db"])
     centers, density = empirical_pdf(fading, resolved["bin_width"])
-    out = _outdir(resolved)
-    _write_csv(out / "swift_pdf.csv", {"bin_center_db": centers, "density": density})
+    return {"swift_pdf.csv": {"bin_center_db": centers, "density": density}}
 
 
-def _run_smallscale_fit(resolved: dict) -> None:
+def _run_smallscale_fit(resolved: dict) -> dict:
     (amps,) = _read_csv_columns(resolved["input"], ["amplitude"])
-    report = fit_mle(resolved["family"], EnvelopeSamples(amps))
-    out = _outdir(resolved)
-    _write_json(out / "fit.json", report.to_dict())
+    return {"fit.json": fit_mle(resolved["family"], EnvelopeSamples(amps)).to_dict()}
 
 
-def _run_smallscale_sample(resolved: dict) -> None:
+def _run_smallscale_sample(resolved: dict) -> dict:
     model = _fading_model(resolved["family"], resolved["params"])
-    draws = sample_fading(model, resolved["n"], resolved["seed"])
-    out = _outdir(resolved)
-    _write_csv(out / "envelope.csv", {"amplitude": draws})
+    return {"envelope.csv": {"amplitude": sample_fading(model, resolved["n"], resolved["seed"])}}
 
 
-def _run_smallscale_gof(resolved: dict) -> None:
+def _run_smallscale_gof(resolved: dict) -> dict:
     model = _fading_model(resolved["family"], resolved["params"])
     (amps,) = _read_csv_columns(resolved["input"], ["amplitude"])
     data = EnvelopeSamples(amps)
-    out = _outdir(resolved)
-    _write_json(out / "gof.json", {
+    return {"gof.json": {
         "family": resolved["family"], "params": resolved["params"],
         "ks": ks_statistic(data, model),
         "pdf_rmse": pdf_rmse(data, model, bins=resolved["bins"]),
-    })
+    }}
 
 
 def _read_pdp(path: str) -> PdpRecord:
@@ -344,18 +331,16 @@ def _read_pdp(path: str) -> PdpRecord:
     return PdpRecord(delays=delay_ns * 1e-9, powers=power)
 
 
-def _run_sparsity(resolved: dict) -> None:
-    pdp = _read_pdp(resolved["input"])
-    m = metrics(pdp)
-    out = _outdir(resolved)
-    _write_json(out / "sparsity.json", {
+def _run_sparsity(resolved: dict) -> dict:
+    m = metrics(_read_pdp(resolved["input"]))
+    return {"sparsity.json": {
         "gini": m.gini,
         "k_factor_db": None if math.isinf(m.k_factor_db) else m.k_factor_db,
         "n_mpc": m.n_mpc,
-    })
+    }}
 
 
-def _run_lemma_check(resolved: dict) -> None:
+def _run_lemma_check(resolved: dict) -> dict:
     n_trials, seed = resolved["n_trials"], resolved["seed"]
     max_n, max_m = resolved["max_n"], resolved["max_m"]
     if n_trials < 1 or max_n < 2 or max_m < 1:
@@ -369,15 +354,14 @@ def _run_lemma_check(resolved: dict) -> None:
     m = rng.integers(1, max_m + 1, size=n_trials)
     powers = rng.exponential(1.0, size=(n_trials, max_n))
     gaps, violations = split_lemma_batch(n, m, powers, rng)
-    out = _outdir(resolved)
-    _write_json(out / "lemma_check.json", {
+    return {"lemma_check.json": {
         "n_trials": n_trials,
         "max_equal_split_gap": float(gaps.max()),
         "random_split_violations": int(violations.sum()),
-    })
+    }}
 
 
-def _run_temporal(resolved: dict) -> None:
+def _run_temporal(resolved: dict) -> dict:
     pdp = _read_pdp(resolved["input"])
     stats = delay_stats(pdp)
     result = {
@@ -392,11 +376,10 @@ def _run_temporal(resolved: dict) -> None:
             "r2": fit.r2,
             "decaying": fit.decaying,
         }
-    out = _outdir(resolved)
-    _write_json(out / "temporal.json", result)
+    return {"temporal.json": result}
 
 
-def _run_sounder_sim(resolved: dict) -> None:
+def _run_sounder_sim(resolved: dict) -> dict:
     delta_tau = resolved["delta_tau_ns"] * 1e-9
     cfg = ZcConfig(length=resolved["length"], root=resolved["root"])
     pdp = synth_exp_pdp(gamma=resolved["gamma_ns"] * 1e-9, delta_tau=delta_tau,
@@ -406,30 +389,27 @@ def _run_sounder_sim(resolved: dict) -> None:
     taps = np.sqrt(pdp.powers) * np.exp(1j * phases)
     rx = simulate_link(Cir(taps=taps, delta_tau=delta_tau), cfg,
                        snr_db=resolved["snr_db"], seed=resolved["seed"] + 1)
-    out = _outdir(resolved)
-    save_iq(out / "rx.iq", rx)
-    _write_csv(out / "true_pdp.csv", {"delay_ns": pdp.delays * 1e9, "power_linear": pdp.powers})
+    return {"rx.iq": rx,
+            "true_pdp.csv": {"delay_ns": pdp.delays * 1e9, "power_linear": pdp.powers}}
 
 
-def _run_sounder_extract(resolved: dict) -> None:
+def _run_sounder_extract(resolved: dict) -> dict:
     cfg = ZcConfig(length=resolved["length"], root=resolved["root"])
     rx = load_iq(resolved["input"])
     cir = extract_cir(rx, cfg, delta_tau=resolved["delta_tau_ns"] * 1e-9)
     pdp = pdp_from_cir(cir, max_taps=resolved["max_taps"])
-    out = _outdir(resolved)
-    _write_csv(out / "pdp.csv", {"delay_ns": pdp.delays * 1e9, "power_linear": pdp.powers})
+    return {"pdp.csv": {"delay_ns": pdp.delays * 1e9, "power_linear": pdp.powers}}
 
 
-def _run_decompose(resolved: dict) -> None:
+def _run_decompose(resolved: dict) -> dict:
     group_ids, amps = _read_csv_columns(resolved["input"], ["group", "amplitude"])
     bad = ~((group_ids == np.trunc(group_ids)) & (np.abs(group_ids) < 2.0**53))
     if bad.any():
         raise ValidationError(f"group ids must be integers, got {float(group_ids[bad][0])}")
     ids = np.unique(group_ids)
     swift_db, small = decompose_scales([amps[group_ids == gid] for gid in ids])
-    out = _outdir(resolved)
-    _write_csv(out / "swift_deviations.csv", {"group": ids.astype(int), "fading_db": swift_db})
-    _write_csv(out / "smallscale.csv", {"amplitude": np.concatenate(small)})
+    return {"swift_deviations.csv": {"group": ids.astype(int), "fading_db": swift_db},
+            "smallscale.csv": {"amplitude": np.concatenate(small)}}
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +428,7 @@ class _Command:
     ``fit_key`` is the config key read from the config file's ``fit`` block."""
 
     words: tuple[str, ...]
-    handler: Callable[[dict], None]
+    handler: Callable[[dict], dict]
     help: str
     flags: tuple[tuple[str, dict], ...] = ()
     blocks: tuple[str, ...] = ()
@@ -586,12 +566,7 @@ def _resolve(args) -> tuple[str, dict]:
     # pathloss eval takes its model parameters, and pathloss fit its d0, from the fit block
     if cmd.fit_key:
         fit = config.get("fit", {})
-        for key, value in fit.items():
-            if key not in ("n", "n1", "n2", "d0", "d_break"):
-                raise ValidationError(f"unknown key in config block 'fit': {key!r}")
-            if not (type(value) in (int, float) and abs(value) < math.inf):
-                raise ValidationError(f"config block 'fit': {key} must be a finite number, "
-                                      f"got {value!r}")
+        _check_fit(fit)
         resolved[cmd.fit_key] = fit if cmd.fit_key == "params" else fit.get("d0", 1.0)
     if _PARAMS in cmd.flags:
         resolved["params"] = _parse_params(resolved["params"])
@@ -600,9 +575,54 @@ def _resolve(args) -> tuple[str, dict]:
     return args.command, resolved
 
 
+def _finite(value) -> bool:
+    """A finite JSON number: an int or a float, not a bool."""
+    return type(value) in (int, float) and abs(value) < math.inf
+
+
+def _check_fit(fit) -> None:
+    """The fit block: an object of finite numbers under n, n1, n2, d0 and d_break."""
+    if not isinstance(fit, dict):
+        raise ValidationError("config block 'fit' must be a JSON object")
+    for key, value in fit.items():
+        if key not in ("n", "n1", "n2", "d0", "d_break"):
+            raise ValidationError(f"unknown key in config block 'fit': {key!r}")
+        if not _finite(value):
+            raise ValidationError(f"config block 'fit': {key} must be a finite number, "
+                                  f"got {value!r}")
+
+
+def _check_values(command: str, resolved: dict) -> None:
+    """A resolved config's values, fresh or replayed: an int seed, a string out and
+    finite numbers in each block, n_harmonics an int and omega_lo, omega_hi or null."""
+    fit_key = _COMMANDS[command].fit_key
+    if fit_key:
+        _check_fit(resolved["params"] if fit_key == "params" else {"d0": resolved["d0"]})
+    if "seed" in resolved and type(resolved["seed"]) is not int:
+        raise ValidationError(f"seed must be an integer, got {resolved['seed']!r}")
+    if not isinstance(resolved["out"], str):
+        raise ValidationError(f"out must be a string, got {resolved['out']!r}")
+    for block in _COMMANDS[command].blocks:
+        for key, value in resolved[block].items():
+            if key == "n_harmonics" and type(value) is not int:
+                raise ValidationError(f"config block {block!r}: {key} must be an integer, "
+                                      f"got {value!r}")
+            if not (_finite(value) or (value is None and key in ("omega_lo", "omega_hi"))):
+                raise ValidationError(f"config block {block!r}: {key} must be a finite "
+                                      f"number, got {value!r}")
+
+
 def _execute(command: str, resolved: dict) -> None:
-    _COMMANDS[command].handler(resolved)
-    _write_manifest(_outdir(resolved), command, resolved)
+    """The one writer, for a fresh run and a replay: the outputs, then the manifest.
+    Writers are looked up at call time, so a wrapper on their module name sees each."""
+    _check_values(command, resolved)
+    outputs = _COMMANDS[command].handler(resolved)
+    out = Path(resolved["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in outputs.items():
+        {".csv": _write_csv, ".json": _write_json, ".iq": save_iq}[Path(name).suffix](
+            out / name, content)
+    _write_manifest(out, command, resolved)
 
 
 def _run_replay(manifest_path: str, out_override: str | None) -> None:

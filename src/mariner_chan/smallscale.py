@@ -245,7 +245,7 @@ FadingModel = Rician | Twdp | Nakagami | Lognormal | Laplace | AsymLaplace
 
 # Gauss-Legendre node counts the TWDP quadrature chooses from
 _TWDP_ORDERS = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024)
-_CDF_BLOCK = 1 << 18  # grid cells per chndtr call in _twdp_cdf, which bounds its memory
+_TWDP_BLOCK = 1 << 18  # grid cells per block of the TWDP density and CDF, which bounds memory
 
 
 @functools.cache
@@ -294,7 +294,14 @@ def _twdp_phase_sum(u: np.ndarray, k: float, delta: float, sigma: float, order: 
 
 def _twdp_logpdf_order(u: np.ndarray, k: float, delta: float, sigma: float,
                        order: int) -> np.ndarray:
-    return _twdp_phase_sum(u, k, delta, sigma, order)[0]
+    """ln f(u) at fixed quadrature order, over the samples in blocks of _TWDP_BLOCK
+    grid cells; each value is a row reduction, so the blocks do not change it."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    rows = max(1, _TWDP_BLOCK // order)
+    out = np.empty(u.shape)
+    for i in range(0, u.size, rows):
+        out[i:i + rows] = _twdp_phase_sum(u[i:i + rows], k, delta, sigma, order)[0]
+    return out
 
 
 def _twdp_loglik_grad(u: np.ndarray, w: np.ndarray, k: float, delta: float, sigma: float,
@@ -323,7 +330,7 @@ def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray
 
     The phase integral uses _twdp_order(K, Delta) Gauss-Legendre nodes,
     which keep the absolute CDF error <= 1e-12 against a 2048-node reference
-    for K <= 1e4.  The samples are taken in blocks of _CDF_BLOCK grid cells.
+    for K <= 1e4.  The samples are taken in blocks of _TWDP_BLOCK grid cells.
     As in _twdp_phase_sum, each node sum is a row reduction, so a sample's CDF
     does not depend on the call; ks_statistic evaluates subsets and relies on that.
     """
@@ -331,7 +338,7 @@ def _twdp_cdf(u: np.ndarray, k: float, delta: float, sigma: float) -> np.ndarray
     u = np.atleast_1d(np.asarray(u, dtype=float))
     nc = 2.0 * k * (1.0 - delta * np.cos(nodes))
     x = (u / sigma) ** 2
-    rows = max(1, _CDF_BLOCK // nodes.size)
+    rows = max(1, _TWDP_BLOCK // nodes.size)
     out = np.empty(u.shape)
     for i in range(0, u.size, rows):
         out[i:i + rows] = np.sum(chndtr(x[i:i + rows, None], 2, nc[None, :]) * weights, axis=1)

@@ -90,11 +90,11 @@ def simulate_link(true_cir: Cir, cfg: ZcConfig, snr_db: float,
     if true_cir.taps.size > cfg.length:
         raise ValueError(f"channel has {true_cir.taps.size} taps, more than the "
                          f"sequence length {cfg.length}")
-    if not math.isfinite(snr_db):
-        if snr_db > 0:  # infinite SNR: noiseless
-            return _circular_convolve(zc_sequence(cfg), true_cir.taps)
+    if not (math.isfinite(snr_db) or snr_db > 0):
         raise ValueError(f"SNR must be finite or +inf, got {snr_db}")
     rx = _circular_convolve(zc_sequence(cfg), true_cir.taps)
+    if math.isinf(snr_db):  # noiseless
+        return rx
     sig_power = float(np.mean(np.abs(rx) ** 2))
     noise_power = sig_power / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)

@@ -217,7 +217,8 @@ def simulate_swift(
     Solve the wave-adjusted reflection geometry over the whole time axis;
     evaluate the MTR received level at the effective heights and subtract
     pattern and polarization losses, each over the whole axis; then de-mean
-    the finite samples of the series.
+    the finite samples of the series.  ``seed``, when given, overrides
+    ``sea_cfg.seed``; the motion phases are fixed in ``motion``.
     """
     if not 0 < dt <= duration < math.inf:
         raise ValueError(f"need finite dt > 0 and duration >= dt, got {dt}, {duration}")

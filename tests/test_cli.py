@@ -482,6 +482,43 @@ def test_every_command_runs_and_replays_byte_for_byte(tmp_path):
             assert (out / output).read_bytes() == (again / output).read_bytes(), (name, output)
 
 
+def _tree(path):
+    """Every file under path with its size and modification time."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in path.rglob("*")}
+
+
+def test_handlers_return_their_outputs_and_write_nothing(tmp_path):
+    """A handler maps its resolved config to {file name: content}: given a run's
+    recorded config, it returns exactly the names the run wrote, and creates
+    nothing under its out directory; _execute alone writes."""
+    for name, argv in _one_run_per_command(tmp_path).items():
+        out = tmp_path / name
+        assert run(*argv, "--out", str(out)) == 0, name
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        before = _tree(out)
+        outputs = cli._COMMANDS[name].handler(config)
+        assert sorted(outputs) == sorted(p.name for p in before if p.name != "manifest.json"), name
+        assert _tree(out) == before, name
+
+
+def test_execute_writes_through_the_module_writers_manifest_last(tmp_path, monkeypatch):
+    # the writers are module globals looked up per run, so a wrapper bound to one sees its writes
+    writes = []
+
+    def recorded(writer, real):
+        def write(path, *rest):
+            writes.append((writer, Path(path).name))
+            return real(path, *rest)
+        return write
+
+    for writer in ("_write_csv", "_write_json", "save_iq", "_write_manifest"):
+        monkeypatch.setattr(cli, writer, recorded(writer, getattr(cli, writer)))
+    out = tmp_path / "out"
+    assert run("sounder", "sim", "--length", "255", "--seed", "2", "--out", str(out)) == 0
+    assert writes == [("save_iq", "rx.iq"), ("_write_csv", "true_pdp.csv"),
+                      ("_write_manifest", "out"), ("_write_json", "manifest.json")]
+
+
 def _invalid_inputs(tmp):
     (tmp / "one_row.csv").write_text("t_s,fading_db\n0.0,1.5\n")
     (tmp / "series.csv").write_text("t_s,fading_db\n0.0,0.5\n0.1,1.5\n0.2,-0.3\n")
@@ -499,18 +536,30 @@ def _invalid_inputs(tmp):
     (tmp / "pathloss.csv").write_text("d_m,pl_db\n1000,100\n2000,106\n3000,110\n")
     for name, config in {"geometry_list": {"geometry": []}, "fit_list": {"fit": []},
                          "fit_nn2": {"fit": {"n1": 2.5, "nn2": 9}},
-                         "fit_abc": {"fit": {"n1": "abc"}}, "fit_d0": {"fit": {"d0": "x"}}}.items():
+                         "fit_abc": {"fit": {"n1": "abc"}}, "fit_d0": {"fit": {"d0": "x"}},
+                         "fit_zero_break": {"fit": {"d_break": 0}},
+                         "seed_abc": {"seed": "abc"}, "seed_fraction": {"seed": 1.5},
+                         "seed_bool": {"seed": True}, "out_number": {"out": 5},
+                         "motion_abc": {"motion": {"amp_roll_deg": "x"}},
+                         "sea_fraction": {"sea": {"n_harmonics": 2.5}},
+                         "geometry_nan": {"geometry": {"h_t": math.nan}}}.items():
         (tmp / f"{name}.json").write_text(json.dumps(config))
-    (tmp / "no_rate_yaw.json").write_text(json.dumps(_swift_manifest_without_rate_yaw(tmp)))
+    motion = {k: v for k, v in cli._MOTION_DEFAULTS.items() if k != "rate_yaw"}
+    (tmp / "no_rate_yaw.json").write_text(json.dumps(_swift_manifest(tmp, motion=motion)))
+    (tmp / "seed_abc_manifest.json").write_text(json.dumps(_swift_manifest(tmp, seed="abc")))
+    sweep = {"geometry": cli._GEOMETRY_DEFAULTS, "sea": cli._SEA_DEFAULTS, "model": "dual-ci",
+             "dmin": 1000.0, "dmax": 2000.0, "step": 500.0, "params": {"d_break": "x"},
+             "out": str(tmp / "sweep")}
+    (tmp / "fit_abc_manifest.json").write_text(json.dumps({"command": "pathloss-eval",
+                                                           "config": sweep}))
     save_iq(tmp / "rx.iq", np.ones(255, dtype=complex))
     (tmp / "short_header.iq").write_bytes(IQ_MAGIC + bytes(2))
     (tmp / "huge_count.iq").write_bytes(IQ_MAGIC + struct.pack("<Q", 2**62) + bytes(16))
 
 
-def _swift_manifest_without_rate_yaw(tmp):
-    motion = {k: v for k, v in cli._MOTION_DEFAULTS.items() if k != "rate_yaw"}
+def _swift_manifest(tmp, motion=cli._MOTION_DEFAULTS, seed=0):
     config = {"geometry": cli._GEOMETRY_DEFAULTS, "sea": cli._SEA_DEFAULTS, "motion": motion,
-              "duration": 2.0, "dt": 0.1, "seed": 0, "out": str(tmp / "swift")}
+              "duration": 2.0, "dt": 0.1, "seed": seed, "out": str(tmp / "swift")}
     return {"command": "swift-sim", "config": config}
 
 
@@ -574,17 +623,40 @@ _INVALID = {
     "swift-sim-huge-duration": ["swift", "sim", "--duration", "1e300"],
     "sounder-sim-more-taps-than-length": ["sounder", "sim", "--length", "255",
                                           "--n-taps", "300"],
+    "seed-string": ["swift", "sim", "--duration", "2", "--config", "{tmp}/seed_abc.json"],
+    "seed-fraction": ["sparsity", "lemma-check", "--n-trials", "5",
+                      "--config", "{tmp}/seed_fraction.json"],
+    "seed-bool": ["smallscale", "sample", "--family", "rician",
+                  "--params", '{"s": 1.0, "sigma": 0.1}', "--config", "{tmp}/seed_bool.json"],
+    "replay-seed-string": ["replay", "{tmp}/seed_abc_manifest.json"],
+    "replay-fit-string": ["replay", "{tmp}/fit_abc_manifest.json"],
+    "out-number": ["geometry", "--config", "{tmp}/out_number.json"],
+    "motion-string": ["swift", "sim", "--duration", "2", "--config", "{tmp}/motion_abc.json"],
+    "sea-fractional-harmonics": ["swift", "sim", "--duration", "2",
+                                 "--config", "{tmp}/sea_fraction.json"],
+    "geometry-nan-config": ["geometry", "--config", "{tmp}/geometry_nan.json"],
+    "geometry-nan-flag": ["geometry", "--h-t", "nan"],
+    "dual-ci-zero-break": ["pathloss", "eval", "--model", "dual-ci", "--dmin", "1000",
+                           "--dmax", "2000", "--step", "500",
+                           "--config", "{tmp}/fit_zero_break.json"],
 }
 
 
-@pytest.mark.parametrize("argv", list(_INVALID.values()), ids=list(_INVALID))
-def test_invalid_input_exits_2(tmp_path, capsys, argv):
+def _run_invalid(tmp_path, monkeypatch, name):
+    """Run the _INVALID row from tmp_path, out at its default there, and return its
+    exit code; the run must create nothing, not even its output directory."""
     _invalid_inputs(tmp_path)
-    out = tmp_path / "out"
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    assert run(*argv, "--out", str(out)) == 2
+    monkeypatch.chdir(tmp_path)
+    before = _tree(tmp_path)
+    code = run(*(arg.replace("{tmp}", str(tmp_path)) for arg in _INVALID[name]))
+    assert _tree(tmp_path) == before
+    return code
+
+
+@pytest.mark.parametrize("name", list(_INVALID))
+def test_invalid_input_exits_2(tmp_path, capsys, monkeypatch, name):
+    assert _run_invalid(tmp_path, monkeypatch, name) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "manifest.json").exists()
 
 
 # numpy's arange would otherwise refuse the sweeps and axes with its own
@@ -604,11 +676,21 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv):
     ("fit-list", "config block 'fit' must be a JSON object"),
     ("fit-unknown-key", "unknown key in config block 'fit': 'nn2'"),
     ("fit-non-numeric", "config block 'fit': n1 must be a finite number, got 'abc'"),
-    ("pathloss-fit-non-numeric-d0", "config block 'fit': d0 must be a finite number, got 'x'")])
-def test_non_finite_sweep_and_axis_values_are_named(tmp_path, capsys, name, message):
-    _invalid_inputs(tmp_path)
-    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in _INVALID[name]]
-    assert run(*argv, "--out", str(tmp_path / "out")) == 2
+    ("pathloss-fit-non-numeric-d0", "config block 'fit': d0 must be a finite number, got 'x'"),
+    ("seed-string", "seed must be an integer, got 'abc'"),
+    ("seed-fraction", "seed must be an integer, got 1.5"),
+    ("seed-bool", "seed must be an integer, got True"),
+    ("replay-seed-string", "seed must be an integer, got 'abc'"),
+    ("replay-fit-string", "config block 'fit': d_break must be a finite number, got 'x'"),
+    ("out-number", "out must be a string, got 5"),
+    ("motion-string", "config block 'motion': amp_roll_deg must be a finite number, got 'x'"),
+    ("sea-fractional-harmonics", "config block 'sea': n_harmonics must be an integer, got 2.5"),
+    ("geometry-nan-config", "config block 'geometry': h_t must be a finite number, got nan"),
+    ("geometry-nan-flag", "config block 'geometry': h_t must be a finite number, got nan"),
+    ("dual-ci-zero-break",
+     "config block 'fit' {'d_break': 0}: break distance must be positive, got 0")])
+def test_non_finite_sweep_and_axis_values_are_named(tmp_path, capsys, monkeypatch, name, message):
+    assert _run_invalid(tmp_path, monkeypatch, name) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

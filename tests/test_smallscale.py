@@ -705,6 +705,28 @@ def test_twdp_logpdf_of_a_sample_does_not_depend_on_the_call(k, delta, sigma, or
     assert single.tobytes() == full.tobytes()
 
 
+@pytest.mark.parametrize("k, delta, sigma", [(10.0, 0.7, 0.1), (1000.0, 1.0, 0.02)])
+def test_twdp_density_in_blocks_is_bit_identical(monkeypatch, k, delta, sigma):
+    """The density walks the samples in blocks of _TWDP_BLOCK grid cells, as the
+    CDF does, so its memory does not grow with n times the node count; with a
+    block of a few rows every value, and the log-likelihood, is unchanged."""
+    model = Twdp(k=k, delta=delta, sigma=sigma)
+    order = smallscale._twdp_order(k, delta)
+    u = sample(model, 3001, seed=4)
+    whole = smallscale._twdp_phase_sum(u, k, delta, sigma, order)[0]
+    rows, phase_sum = [], smallscale._twdp_phase_sum
+
+    def recorded(u, *args):
+        rows.append(u.size)
+        return phase_sum(u, *args)
+
+    monkeypatch.setattr(smallscale, "_TWDP_BLOCK", 7 * order)
+    monkeypatch.setattr(smallscale, "_twdp_phase_sum", recorded)
+    assert smallscale._twdp_logpdf_order(u, k, delta, sigma, order).tobytes() == whole.tobytes()
+    assert rows == [7] * 428 + [5]
+    assert model.loglik(u) == float(np.sum(whole))
+
+
 @pytest.mark.parametrize("n", [500, 6000])
 def test_twdp_grid_scores_are_the_gradient_paths_values(monkeypatch, n):
     """The 12 grid starts are scored by log-likelihood alone.  Each score is
