@@ -508,29 +508,35 @@ _GROUP_HELP = {"pathloss": "path loss model sweeps and fits", "swift": "SWIFT fa
 
 
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """Every command's and group's parser, so help and errors list them all; a
-    command's own arguments only when each of its words is a token of ``argv``
-    (argparse enters a subparser only on its literal word)."""
+    """The top-level parser with every command and group word, so its help and
+    errors list them all; a group's subcommand parsers only when the group's
+    word is a token of ``argv``, and a parser's -h and a command's own
+    arguments only when each of its words is (argparse enters a subparser only
+    on its literal word)."""
     tokens = set(argv)
     parser = argparse.ArgumentParser(prog="mariner-chan",
                                      description="Maritime channel modeling toolkit")
     parser.add_argument("--version", action="version", version=__version__)
-    parsers, subparsers = {(): parser}, {}
-    command_words = {cmd.words for cmd in _COMMANDS.values()}
-
-    def add_parser(words: tuple[str, ...], help: str) -> argparse.ArgumentParser:
-        parent = words[:-1]
-        if parent not in parsers:
-            add_parser(parent, _GROUP_HELP[parent[0]])
-        if parent not in subparsers:
-            # a group needs a subcommand; a command that has subcommands runs without one
-            subparsers[parent] = parsers[parent].add_subparsers(
-                dest="subcmd" if parent else "cmd", required=parent not in command_words)
-        parsers[words] = subparsers[parent].add_parser(words[-1], help=help, description=help)
-        return parsers[words]
+    top = parser.add_subparsers(dest="cmd", required=True)
+    groups, subparsers = {}, {}
 
     for name, cmd in _COMMANDS.items():
-        p = add_parser(cmd.words, cmd.help)
+        word = cmd.words[0]
+        if word not in groups:
+            help = _GROUP_HELP.get(word, cmd.help)
+            groups[word] = top.add_parser(word, help=help, description=help,
+                                          add_help=word in tokens)
+        if len(cmd.words) == 1:
+            p = groups[word]
+        elif word not in tokens:
+            continue
+        else:
+            if word not in subparsers:
+                # a group needs a subcommand; a command that has subcommands runs without one
+                subparsers[word] = groups[word].add_subparsers(dest="subcmd",
+                                                               required=word in _GROUP_HELP)
+            p = subparsers[word].add_parser(cmd.words[1], help=cmd.help, description=cmd.help,
+                                            add_help=cmd.words[1] in tokens)
         p.set_defaults(command=name)
         if not tokens.issuperset(cmd.words):
             continue
@@ -546,9 +552,11 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         for option, kwargs in cmd.flags:
             p.add_argument(option, **kwargs)
 
-    p = add_parser(("replay",), "re-execute a recorded run")
-    p.add_argument("manifest", help="manifest.json from a previous run")
-    p.add_argument("--out", default=None, help="override output directory")
+    help = "re-execute a recorded run"
+    p = top.add_parser("replay", help=help, description=help, add_help="replay" in tokens)
+    if "replay" in tokens:
+        p.add_argument("manifest", help="manifest.json from a previous run")
+        p.add_argument("--out", default=None, help="override output directory")
     return parser
 
 
@@ -570,8 +578,6 @@ def _resolve(args) -> tuple[str, dict]:
         resolved[cmd.fit_key] = fit if cmd.fit_key == "params" else fit.get("d0", 1.0)
     if _PARAMS in cmd.flags:
         resolved["params"] = _parse_params(resolved["params"])
-    if args.command == "sparsity" and resolved["input"] is None:
-        raise ValidationError("sparsity requires --pdp (or the lemma-check subcommand)")
     return args.command, resolved
 
 
@@ -592,9 +598,37 @@ def _check_fit(fit) -> None:
                                   f"got {value!r}")
 
 
+def _check_flag(flag: tuple[str, dict], value) -> None:
+    """A flag's value as a fresh run's argparse gives it, so a replayed manifest's
+    too: an int (not a bool) for type=int, an int or float (not a bool) for
+    type=float, a member of its choices, a JSON object for --params, else a
+    string; None only where the flag is optional and defaults to None.  A
+    non-finite number is left to the command's own check, as on a fresh run."""
+    kwargs = flag[1]
+    if value is None and not kwargs.get("required") and kwargs.get("default") is None:
+        return
+    if "choices" in kwargs:
+        ok, what = value in kwargs["choices"], f"one of {list(kwargs['choices'])}"
+    elif kwargs.get("type") is int:
+        ok, what = type(value) is int, "an integer"
+    elif kwargs.get("type") is float:
+        ok, what = type(value) in (int, float), "a number"
+    elif flag == _PARAMS:
+        ok, what = isinstance(value, dict), "a JSON object"
+    else:
+        ok, what = isinstance(value, str), "a string"
+    if not ok:
+        raise ValidationError(f"{_dest(flag)} must be {what}, got {value!r}")
+
+
 def _check_values(command: str, resolved: dict) -> None:
-    """A resolved config's values, fresh or replayed: an int seed, a string out and
-    finite numbers in each block, n_harmonics an int and omega_lo, omega_hi or null."""
+    """A resolved config's values, fresh or replayed: each flag's as ``_check_flag``
+    takes it, an int seed, a string out and finite numbers in each block,
+    n_harmonics an int and omega_lo, omega_hi or null."""
+    for flag in _COMMANDS[command].flags:
+        _check_flag(flag, resolved[_dest(flag)])
+    if command == "sparsity" and resolved["input"] is None:
+        raise ValidationError("sparsity requires --pdp (or the lemma-check subcommand)")
     fit_key = _COMMANDS[command].fit_key
     if fit_key:
         _check_fit(resolved["params"] if fit_key == "params" else {"d0": resolved["d0"]})

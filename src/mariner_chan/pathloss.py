@@ -190,11 +190,21 @@ def mtr_path_loss(
     return 20.0 * _log10_ratio(4.0 * math.pi * d, wavelength(geom) * mag)
 
 
-def mtr_regressor(geom: LinkGeometry, sea: SeaStateParams, d):
-    """10*log10(4*pi*d / (lambda*|1 + D*S*R*Gamma*exp(-j*phi)|)) at the distance(s)
-    d, half the MTR loss: the per-unit-PLE regressor of the dual-slope CI-MTR
-    model.  +inf at interference nulls."""
-    return 0.5 * mtr_path_loss(geom, sea, d=d)
+def mtr_regressor(geom: LinkGeometry, sea: SeaStateParams, d, d_break: float):
+    """10*log10(4*pi*d / (lambda*|1 + D*S*R*Gamma*exp(-j*phi)|)) at min(d, d_break),
+    half the MTR loss: the per-unit-PLE regressor of the dual-slope CI-MTR
+    model's first segment.  +inf at interference nulls.
+
+    One MTR evaluation covers the distances below the break and one point at
+    it, which every d >= d_break (inf too) shares; a NaN distance stays NaN,
+    as with np.minimum.
+    """
+    d = np.asarray(d, dtype=float)
+    below = ~(d >= d_break)
+    near = 0.5 * mtr_path_loss(geom, sea, d=np.append(d[below], d_break))
+    g = np.full(d.shape, near[-1])
+    g[below] = near[:-1]
+    return g[()]
 
 
 def ci_path_loss(p: CiParams, f: float, d):
@@ -228,8 +238,7 @@ def dual_ci_mtr_path_loss(p: DualSlopeParams, geom: LinkGeometry, sea: SeaStateP
     anchored at the break-distance value.
     """
     d = np.asarray(d, dtype=float)
-    near = p.n1 * mtr_regressor(geom, sea, np.minimum(d, p.d_break))
-    return _second_slope(p, d, near)
+    return _second_slope(p, d, p.n1 * mtr_regressor(geom, sea, d, p.d_break))
 
 
 def sample_shadow_fading(sigma_db: float, n: int, seed: int | None = None) -> np.ndarray:

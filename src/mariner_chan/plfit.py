@@ -107,7 +107,7 @@ def fit_dual_ci_mtr(d, pl, geom: LinkGeometry, sea: SeaStateParams) -> PlFitRepo
     """
     d_break = break_distance(geom)
     d, pl = _samples(d, pl)
-    g = mtr_regressor(geom, sea, np.minimum(d, d_break))
+    g = mtr_regressor(geom, sea, d, d_break)
     ok = np.isfinite(g)
     n_null = int(np.sum(~ok))
     report = _fit_dual(d[ok], pl[ok], g[ok], d_break)

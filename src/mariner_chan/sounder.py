@@ -103,14 +103,29 @@ def simulate_link(true_cir: Cir, cfg: ZcConfig, snr_db: float,
     return rx + noise
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth length 2^a * 3^b * 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-two multiple of p35 that is >= n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _circular_convolve(seq: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Length-L circular convolution of ``seq`` with K <= L ``taps``: the linear
-    convolution through power-of-two FFTs, its last K - 1 points folded onto
-    the first. The default L = 65535 = 3*5*17*257 would otherwise put a
-    radix-257 pass in every L-point transform.
+    convolution through FFTs of the smallest 5-smooth length M >= L + K - 1,
+    its last K - 1 points folded onto the first. The default L = 65535 =
+    3*5*17*257 would otherwise put a radix-257 pass in every L-point
+    transform; with K = 5 taps M = 65610 = 2*3^8*5, about half of 2^17.
     """
     n = seq.size + taps.size - 1
-    m = 1 << (n - 1).bit_length()
+    m = _fft_length(n)
     full = np.fft.ifft(np.fft.fft(seq, m) * np.fft.fft(taps, m))
     out = full[: seq.size]
     out[: n - seq.size] += full[seq.size: n]

@@ -1,5 +1,6 @@
 """Command-line front-end tests: exit codes, CSV schemas, manifests, replay."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -547,19 +548,29 @@ def _invalid_inputs(tmp):
     motion = {k: v for k, v in cli._MOTION_DEFAULTS.items() if k != "rate_yaw"}
     (tmp / "no_rate_yaw.json").write_text(json.dumps(_swift_manifest(tmp, motion=motion)))
     (tmp / "seed_abc_manifest.json").write_text(json.dumps(_swift_manifest(tmp, seed="abc")))
+    # recorded flag values of the wrong type or outside their choices
+    (tmp / "duration_x_manifest.json").write_text(json.dumps(_swift_manifest(tmp, duration="x")))
+    (tmp / "dt_bool_manifest.json").write_text(json.dumps(_swift_manifest(tmp, dt=True)))
+    lemma = {"n_trials": 1.5, "max_n": 50, "max_m": 8, "seed": 0, "out": str(tmp / "lemma")}
+    (tmp / "n_trials_fraction_manifest.json").write_text(
+        json.dumps({"command": "sparsity-lemma-check", "config": lemma}))
+    (tmp / "sparsity_no_pdp_manifest.json").write_text(
+        json.dumps({"command": "sparsity", "config": {"input": None, "out": str(tmp / "sp")}}))
     sweep = {"geometry": cli._GEOMETRY_DEFAULTS, "sea": cli._SEA_DEFAULTS, "model": "dual-ci",
              "dmin": 1000.0, "dmax": 2000.0, "step": 500.0, "params": {"d_break": "x"},
              "out": str(tmp / "sweep")}
     (tmp / "fit_abc_manifest.json").write_text(json.dumps({"command": "pathloss-eval",
                                                            "config": sweep}))
+    (tmp / "model_bogus_manifest.json").write_text(json.dumps(
+        {"command": "pathloss-eval", "config": dict(sweep, model="bogus", params={})}))
     save_iq(tmp / "rx.iq", np.ones(255, dtype=complex))
     (tmp / "short_header.iq").write_bytes(IQ_MAGIC + bytes(2))
     (tmp / "huge_count.iq").write_bytes(IQ_MAGIC + struct.pack("<Q", 2**62) + bytes(16))
 
 
-def _swift_manifest(tmp, motion=cli._MOTION_DEFAULTS, seed=0):
+def _swift_manifest(tmp, motion=cli._MOTION_DEFAULTS, seed=0, duration=2.0, dt=0.1):
     config = {"geometry": cli._GEOMETRY_DEFAULTS, "sea": cli._SEA_DEFAULTS, "motion": motion,
-              "duration": 2.0, "dt": 0.1, "seed": seed, "out": str(tmp / "swift")}
+              "duration": duration, "dt": dt, "seed": seed, "out": str(tmp / "swift")}
     return {"command": "swift-sim", "config": config}
 
 
@@ -630,6 +641,11 @@ _INVALID = {
                   "--params", '{"s": 1.0, "sigma": 0.1}', "--config", "{tmp}/seed_bool.json"],
     "replay-seed-string": ["replay", "{tmp}/seed_abc_manifest.json"],
     "replay-fit-string": ["replay", "{tmp}/fit_abc_manifest.json"],
+    "replay-duration-string": ["replay", "{tmp}/duration_x_manifest.json"],
+    "replay-dt-bool": ["replay", "{tmp}/dt_bool_manifest.json"],
+    "replay-n-trials-fraction": ["replay", "{tmp}/n_trials_fraction_manifest.json"],
+    "replay-model-bogus": ["replay", "{tmp}/model_bogus_manifest.json"],
+    "replay-sparsity-no-pdp": ["replay", "{tmp}/sparsity_no_pdp_manifest.json"],
     "out-number": ["geometry", "--config", "{tmp}/out_number.json"],
     "motion-string": ["swift", "sim", "--duration", "2", "--config", "{tmp}/motion_abc.json"],
     "sea-fractional-harmonics": ["swift", "sim", "--duration", "2",
@@ -682,6 +698,12 @@ def test_invalid_input_exits_2(tmp_path, capsys, monkeypatch, name):
     ("seed-bool", "seed must be an integer, got True"),
     ("replay-seed-string", "seed must be an integer, got 'abc'"),
     ("replay-fit-string", "config block 'fit': d_break must be a finite number, got 'x'"),
+    ("replay-duration-string", "duration must be a number, got 'x'"),
+    ("replay-dt-bool", "dt must be a number, got True"),
+    ("replay-n-trials-fraction", "n_trials must be an integer, got 1.5"),
+    ("replay-model-bogus", "model must be one of ['fspl', 'two-ray', 'mtr', 'ci', 'dual-ci', "
+                           "'dual-ci-mtr'], got 'bogus'"),
+    ("replay-sparsity-no-pdp", "sparsity requires --pdp (or the lemma-check subcommand)"),
     ("out-number", "out must be a string, got 5"),
     ("motion-string", "config block 'motion': amp_roll_deg must be a finite number, got 'x'"),
     ("sea-fractional-harmonics", "config block 'sea': n_harmonics must be an integer, got 2.5"),
@@ -793,3 +815,53 @@ def test_a_parser_holds_only_the_invoked_commands_arguments():
     assert parser.parse_args(["geometry", "--h-t", "30"]).h_t == 30.0
     with pytest.raises(SystemExit):
         parser.parse_args(["sparsity", "--pdp", "pdp.csv"])
+
+
+def _built_parsers(monkeypatch, argv):
+    """The prog of each parser that ``_build_parser(argv)`` creates."""
+    progs, init = [], argparse.ArgumentParser.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recorded)
+    cli._build_parser(argv)
+    return progs
+
+
+_TOP_WORDS = ["geometry", "pathloss", "swift", "smallscale", "sparsity", "temporal", "sounder",
+              "decompose", "replay"]
+
+
+def test_a_parser_builds_only_the_invoked_groups_subcommands(monkeypatch):
+    progs = _built_parsers(monkeypatch, ["geometry", "--h-t", "30", "--out", "fit"])
+    assert progs == ["mariner-chan", *(f"mariner-chan {word}" for word in _TOP_WORDS)]
+    progs = _built_parsers(monkeypatch, ["pathloss", "eval", "--model", "fspl"])
+    assert [p for p in progs if len(p.split()) == 3] == ["mariner-chan pathloss eval",
+                                                        "mariner-chan pathloss fit"]
+
+
+# help and usage errors: each must print what the parser with every command built prints
+_HELP_AND_ERRORS = [
+    [], ["--help"], ["--version"], ["nope"], ["--nope"], ["smallscale", "nope"],
+    ["sparsity", "nope"], ["pathloss"], ["swift"], ["smallscale"], ["sounder"],
+    ["pathloss", "eval"], ["geometry", "--bogus"], ["geometry", "pathloss"], ["replay"],
+    ["sounder", "sim", "--seed", "x"], ["sparsity", "lemma-check", "--nope"],
+    ["pathloss", "eval", "--model", "bogus", "--dmin", "1", "--dmax", "2", "--step", "1"],
+    ["sparsity", "--out", "x", "lemma-check", "--help"],
+    *([word, "--help"] for word in _TOP_WORDS),
+    *([*cmd.words, "--help"] for cmd in cli._COMMANDS.values()),
+]
+
+
+@pytest.mark.parametrize("argv", _HELP_AND_ERRORS, ids=" ".join)
+def test_help_and_errors_match_the_fully_built_parser(capsys, argv):
+    printed = []
+    every_word = [word for cmd in cli._COMMANDS.values() for word in cmd.words]
+    for parser in (cli._build_parser(argv), cli._build_parser([*argv, *every_word])):
+        with pytest.raises(SystemExit) as exit_:
+            parser.parse_args(argv)
+        out = capsys.readouterr()
+        printed.append((exit_.value.code, out.out, out.err))
+    assert printed[0] == printed[1]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mariner_chan import pathloss
 from mariner_chan.geometry import LinkGeometry, break_distance
 from mariner_chan.pathloss import (
     CiParams,
@@ -13,6 +14,7 @@ from mariner_chan.pathloss import (
     ci_path_loss,
     dual_ci_mtr_path_loss,
     dual_ci_path_loss,
+    mtr_path_loss,
 )
 from mariner_chan.plfit import (
     fit_ci,
@@ -94,11 +96,60 @@ def test_fit_dual_ci_mtr_no_samples_beyond_break():
 
 def test_mtr_regressor_scales_with_exponent():
     d = 5000.0
-    g = mtr_regressor(REF, SEA, d)
+    g = mtr_regressor(REF, SEA, d, break_distance(REF))
     p1 = DualSlopeParams(n1=1.0, n2=2.0, d_break=break_distance(REF))
     p2 = DualSlopeParams(n1=2.0, n2=2.0, d_break=break_distance(REF))
     assert dual_ci_mtr_path_loss(p1, REF, SEA, d) == pytest.approx(g)
     assert dual_ci_mtr_path_loss(p2, REF, SEA, d) == pytest.approx(2 * g)
+
+
+_D_BREAK = break_distance(REF)
+# below, above and across the break, at it exactly, and NaN and inf entries
+_REGRESSOR_SWEEPS = {
+    "below": np.arange(100.0, 7700.0, 7.0),
+    "above": np.arange(7800.0, 40_000.0, 13.0),
+    "straddling": np.arange(1000.0, 33_801.0, 1.0),
+    "at-break": np.array([_D_BREAK]),
+    "nan-and-inf": np.array([np.nan, 5000.0, np.inf, _D_BREAK, 9000.0, np.nan, 100.0]),
+    "empty": np.empty(0),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name", list(_REGRESSOR_SWEEPS))
+def test_mtr_regressor_is_the_mtr_half_loss_at_the_clamped_distance(name):
+    d = _REGRESSOR_SWEEPS[name]
+    reference = 0.5 * mtr_path_loss(REF, SEA, d=np.minimum(d, _D_BREAK))
+    np.testing.assert_array_equal(_bits(mtr_regressor(REF, SEA, d, _D_BREAK)), _bits(reference))
+
+
+@pytest.mark.parametrize("d", [5000.0, _D_BREAK, 20_000.0, math.inf])
+def test_mtr_regressor_of_a_scalar_is_a_float(d):
+    g = mtr_regressor(REF, SEA, d, _D_BREAK)
+    assert isinstance(g, float)
+    assert _bits(g) == _bits(0.5 * mtr_path_loss(REF, SEA, d=min(d, _D_BREAK)))
+
+
+@pytest.mark.parametrize("name", list(_REGRESSOR_SWEEPS))
+def test_mtr_regressor_evaluates_each_clamped_distance_once(name, monkeypatch):
+    # the chain sees the distances below the break and one point at it
+    d = _REGRESSOR_SWEEPS[name]
+    sizes, reflection_geometry = [], pathloss.reflection_geometry
+
+    def counted(geom, h_t_eff=None, h_r_eff=None, d=None):
+        sizes.append(np.size(d))
+        return reflection_geometry(geom, h_t_eff, h_r_eff, d)
+
+    monkeypatch.setattr(pathloss, "reflection_geometry", counted)
+    mtr_regressor(REF, SEA, d, _D_BREAK)
+    dual_ci_mtr_path_loss(DualSlopeParams(2.0, 4.0, _D_BREAK), REF, SEA, d)
+    below = int(np.sum(~(d >= _D_BREAK)))
+    assert sizes == [below + 1, below + 1]
+    if name == "straddling":
+        assert below + 1 < 0.25 * d.size
 
 
 def test_shadow_sigma_oracle():

@@ -52,9 +52,19 @@ def test_noisy_loop_recovers_tap_powers():
     assert float(np.max(np.abs(err_db))) < 0.5
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a * 3^b * 5^c >= n, by trial division of each candidate."""
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+    return next(m for m in range(n, 2 * n + 1) if smooth(m))
+
+
 def _fft_tolerance(n: int, exact: np.ndarray) -> float:
     """eps * log2(M) of the largest exact output, M the padded transform length for n points."""
-    return np.finfo(float).eps * math.log2(1 << (n - 1).bit_length()) * float(np.max(np.abs(exact)))
+    return np.finfo(float).eps * math.log2(_smooth_length(n)) * float(np.max(np.abs(exact)))
 
 
 def _l_point_convolve(seq, taps):
@@ -87,6 +97,21 @@ def test_circular_convolve_matches_the_exact_sum(length, n_taps):
     assert err <= _fft_tolerance(length + k - 1, exact)
     if length >= 65535:
         assert err <= float(np.max(np.abs(_l_point_convolve(seq, taps)[lags] - exact)))
+
+
+@pytest.mark.parametrize("length", [63, 255, 65535, 65537])
+@pytest.mark.parametrize("n_taps", [1, 5, "L"])
+def test_circular_convolve_transforms_at_the_smallest_5_smooth_length(length, n_taps, monkeypatch):
+    k = length if n_taps == "L" else n_taps
+    fft, lengths = np.fft.fft, []
+
+    def recorded(a, n=None, *rest, **kwargs):
+        lengths.append(n)
+        return fft(a, n, *rest, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", recorded)
+    _circular_convolve(np.ones(length, dtype=complex), np.ones(k, dtype=complex))
+    assert lengths == [_smooth_length(length + k - 1)] * 2
 
 
 @pytest.mark.parametrize("length, n_lags", [(255, 255), (65535, 8)])
