@@ -26,15 +26,15 @@ class LinkGeometry:
     k_eff: float = 1.0  # effective-Earth-radius multiplier (e.g. 4/3)
 
     def __post_init__(self):
-        if self.f_c <= 0:
+        if not 0 < self.f_c < math.inf:
             raise ValueError(f"carrier frequency must be positive, got {self.f_c}")
-        if self.h_t <= 0 or self.h_r <= 0:
+        if not (0 < self.h_t < math.inf and 0 < self.h_r < math.inf):
             raise ValueError(f"antenna heights must be positive, got {self.h_t}, {self.h_r}")
-        if self.d <= 0:
+        if not 0 < self.d < math.inf:
             raise ValueError(f"distance must be positive, got {self.d}")
-        if self.r_e <= 0:
+        if not self.r_e > 0:
             raise ValueError(f"Earth radius must be positive, got {self.r_e}")
-        if self.k_eff < 1:
+        if not self.k_eff >= 1:
             raise ValueError(f"effective-radius multiplier must be >= 1, got {self.k_eff}")
 
     @property

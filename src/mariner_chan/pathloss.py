@@ -64,9 +64,9 @@ class CiParams:
     d0: float = 1.0     # reference distance, m
 
     def __post_init__(self):
-        if self.n <= 0:
+        if not 0 < self.n < math.inf:
             raise ValueError(f"path loss exponent must be positive, got {self.n}")
-        if self.d0 <= 0:
+        if not 0 < self.d0 < math.inf:
             raise ValueError(f"reference distance must be positive, got {self.d0}")
 
 
@@ -79,9 +79,9 @@ class DualSlopeParams:
     d_break: float  # m
 
     def __post_init__(self):
-        if self.n1 <= 0 or self.n2 <= 0:
+        if not (0 < self.n1 < math.inf and 0 < self.n2 < math.inf):
             raise ValueError(f"path loss exponents must be positive, got {self.n1}, {self.n2}")
-        if self.d_break <= 0:
+        if not 0 < self.d_break < math.inf:
             raise ValueError(f"break distance must be positive, got {self.d_break}")
 
 

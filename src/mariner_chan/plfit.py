@@ -79,10 +79,13 @@ def _fit_dual(d: np.ndarray, y: np.ndarray, g: np.ndarray, d_break: float) -> Pl
     # solution fits n1 alone
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     rmse = float(np.sqrt(np.mean((y - design @ coef)**2)))
-    params = DualSlopeParams(n1=float(coef[0]), n2=float(coef[1]) if beyond.any() else math.nan,
+    params = DualSlopeParams(n1=float(coef[0]), n2=float(coef[1]) if beyond.any() else 1.0,
                              d_break=d_break)
     report = PlFitReport(params=params, rmse_db=rmse, n_samples=len(d))
     if not beyond.any():
+        # n2 is unset: the report flags it nan in place of the placeholder above,
+        # a value DualSlopeParams refuses from its callers
+        object.__setattr__(params, "n2", math.nan)
         report.warnings.append("no samples beyond the break distance; n2 unset")
     return report
 

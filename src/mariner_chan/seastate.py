@@ -112,12 +112,22 @@ def build_harmonics(cfg: WaveSpectrumConfig) -> HarmonicSet:
 def surface_height(h: HarmonicSet, t, x):
     """Sea-surface elevation above the calm level at time t and position x.
 
-    t and x broadcast against each other; scalar inputs give a float.
+    t and x broadcast against each other; scalar inputs give a float.  The
+    harmonics lie along a leading axis and are summed in index order, one
+    whole (broadcast t, x) slice at a time.
     """
-    k = 2.0 * math.pi / h.wavelengths
-    t = np.asarray(t, dtype=float)[..., None]
-    x = np.asarray(x, dtype=float)[..., None]
-    z = np.sum(h.amplitudes * np.sin(h.omegas * t - k * x + h.phases), axis=-1)
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    col = (-1,) + (1,) * max(t.ndim, x.ndim)
+    amp, omega, k, phase = (np.reshape(v, col) for v in
+                            (h.amplitudes, h.omegas, 2.0 * math.pi / h.wavelengths, h.phases))
+    terms = amp * np.sin(omega * t - k * x + phase)
+    if terms.size == len(terms) > 0:
+        # numpy runs a reduce to one element as a pairwise row sum, out of index
+        # order from 8 harmonics up; accumulate keeps the order
+        z = np.add.accumulate(terms, axis=0)[-1]
+    else:
+        z = np.add.reduce(terms, axis=0)
     return float(z) if z.ndim == 0 else z
 
 

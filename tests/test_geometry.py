@@ -91,13 +91,21 @@ def test_reflection_point_divides_in_height_ratio(ht, hr, d):
     assert r.delta_d >= 0.0
 
 
+_LINK = dict(f_c=5.8e9, h_t=25.0, h_r=4.0, d=3000.0)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(f_c=0.0, h_t=25.0, h_r=4.0, d=3000.0),
     dict(f_c=5.8e9, h_t=0.0, h_r=4.0, d=3000.0),
     dict(f_c=5.8e9, h_t=25.0, h_r=-1.0, d=3000.0),
     dict(f_c=5.8e9, h_t=25.0, h_r=4.0, d=0.0),
     dict(f_c=5.8e9, h_t=25.0, h_r=4.0, d=3000.0, k_eff=0.5),
+    *(pytest.param(dict(_LINK, **{f: math.nan}), id=f"{f}-nan")
+      for f in ("f_c", "h_t", "h_r", "d", "r_e", "k_eff")),
+    *(pytest.param(dict(_LINK, **{f: v}), id=f"{f}-{v}")
+      for f in ("f_c", "h_t", "h_r", "d") for v in (math.inf, -math.inf)),
 ])
 def test_validation(kwargs):
     with pytest.raises(ValueError):
         LinkGeometry(**kwargs)
+

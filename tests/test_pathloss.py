@@ -176,6 +176,19 @@ def test_validation():
         sample_shadow_fading(-1.0, 10)
 
 
+_PARAM_FIELDS = [(CiParams, dict(n=2.0, d0=1.0), f) for f in ("n", "d0")]
+_PARAM_FIELDS += [(DualSlopeParams, dict(n1=2.0, n2=4.0, d_break=7738.7), f)
+                  for f in ("n1", "n2", "d_break")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, kwargs, field", _PARAM_FIELDS,
+                         ids=[f"{c.__name__}-{f}" for c, _, f in _PARAM_FIELDS])
+def test_non_finite_parameter_is_rejected(cls, kwargs, field, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        cls(**dict(kwargs, **{field: value}))
+
+
 def _sweep_evaluator(model, v_w):
     """A ``pathloss eval`` model at the CLI's default link and parameters."""
     return cli._pl_evaluator({"model": model, "geometry": cli._GEOMETRY_DEFAULTS,

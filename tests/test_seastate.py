@@ -86,3 +86,46 @@ def test_validation():
         WaveSpectrumConfig(v_w=7.7, n_harmonics=0)
     with pytest.raises(ValueError):
         WaveSpectrumConfig(v_w=7.7, omega_lo=2.0, omega_hi=1.0)
+
+
+def _accumulated_height(h, t, x):
+    """The surface height added up one harmonic at a time, in index order."""
+    t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+    k = 2.0 * math.pi / h.wavelengths
+    z = h.amplitudes[0] * np.sin(h.omegas[0] * t - k[0] * x + h.phases[0])
+    for i in range(1, len(h.amplitudes)):
+        z = z + h.amplitudes[i] * np.sin(h.omegas[i] * t - k[i] * x + h.phases[i])
+    return z
+
+
+def _trailing_axis_height(h, t, x):
+    """The surface height with the harmonics on a trailing axis, summed by np.sum."""
+    k = 2.0 * math.pi / h.wavelengths
+    t = np.asarray(t, dtype=float)[..., None]
+    x = np.asarray(x, dtype=float)[..., None]
+    return np.sum(h.amplitudes * np.sin(h.omegas * t - k * x + h.phases), axis=-1)
+
+
+_SHAPES = {
+    "scalar": (3.7, 1234.5),
+    "one-element": ([3.7], [1234.5]),
+    "array": (np.arange(0.0, 93.05, 0.1), np.linspace(0.0, 6000.0, 931)),
+    "broadcast": (np.arange(0.0, 10.0, 0.1)[:, None], np.linspace(0.0, 3000.0, 257)),
+}
+
+
+@pytest.mark.parametrize("n_harmonics", [1, 5, 7, 8, 12])
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_surface_height_sums_the_harmonics_in_index_order(n_harmonics, shape):
+    # bit for bit at every harmonic count and input shape, so a height at one
+    # (t, x) does not depend on which others it is computed with
+    h = build_harmonics(WaveSpectrumConfig(v_w=7.7, n_harmonics=n_harmonics, seed=n_harmonics))
+    t, x = _SHAPES[shape]
+    z = surface_height(h, t, x)
+    expected = _accumulated_height(h, t, x)
+    assert np.shape(z) == np.shape(expected)
+    assert np.asarray(z).tobytes() == np.asarray(expected).tobytes()
+    assert isinstance(z, float) == (shape == "scalar")
+    if n_harmonics <= 7:
+        # numpy's pairwise sum adds rows shorter than 8 in index order too
+        assert np.asarray(z).tobytes() == np.asarray(_trailing_axis_height(h, t, x)).tobytes()

@@ -102,20 +102,38 @@ def test_effective_heights_calm_sea():
     assert d1 == pytest.approx(3000.0 * 25.0 / 29.0)
 
 
+_CRITERION_6 = [(LinkGeometry(5.8e9, 25.0, h_r, d), v_w)
+                for v_w, h_r, d in ((7.7, 4.0, 6000.0), (5.6, 4.0, 6000.0),
+                                    (7.7, 4.0, 3000.0), (7.7, 1.0, 3000.0))]
+
+
+def _root_window(geom, harmonics, t):
+    """Centre d*h_t/S and half-width d*sum(A_i)/S of the interval holding every
+    root of the balance residual on [0, d], with S = h_t + h_r + h_rx(t).
+
+    The residual is x*S - d*h_t + hs(x)*(d - 2x) and |d - 2x| <= d there, so a
+    root sits within |hs|*d/S <= d*sum(A_i)/S of d*h_t/S.
+    """
+    s = geom.h_t + geom.h_r + surface_height(harmonics, t, geom.d)
+    return geom.d * geom.h_t / s, geom.d * float(np.sum(harmonics.amplitudes)) / s
+
+
 def test_effective_heights_balance_equation():
     # the reflection point divides the path in the effective-height ratio, to
-    # the solver's stopping rule: at four times on REF, and at every step of
-    # criterion 6's four setups over a whole 93 s axis
+    # the solver's stopping rule, and lies in the root window: at four times on
+    # REF, and at every step of criterion 6's four setups over a whole 93 s axis
     cases = [(REF, 7.7, 5, [0.0, 3.7, 12.9, 60.0])]
-    cases += [(LinkGeometry(5.8e9, 25.0, h_r, d), v_w, seed, np.arange(0.0, 93.05, 0.1))
-              for v_w, h_r, d in ((7.7, 4.0, 6000.0), (5.6, 4.0, 6000.0),
-                                  (7.7, 4.0, 3000.0), (7.7, 1.0, 3000.0))
-              for seed in range(5)]
+    cases += [(geom, v_w, seed, np.arange(0.0, 93.05, 0.1))
+              for geom, v_w in _CRITERION_6 for seed in range(5)]
     for geom, v_w, seed, times in cases:
         h = build_harmonics(WaveSpectrumConfig(v_w=v_w, seed=seed))
         ht, hr, d1 = solve_effective_heights(geom, h, times)
         assert np.all(ht > 0) and np.all(hr > 0)
         assert np.all(np.abs(d1 * hr - (geom.d - d1) * ht) <= 1e-9 * geom.d)
+        centre, half_width = _root_window(geom, h, times)
+        # the stopping rule |residual| < 1e-9*d widens the window by 1e-9*d/S
+        slack = 1e-9 * half_width / float(np.sum(h.amplitudes))
+        assert np.all(np.abs(d1 - centre) <= half_width + slack)
 
 
 def _crest_sea(t_crest: float) -> HarmonicSet:
@@ -223,6 +241,42 @@ def test_solve_effective_heights_matches_reference(d, h_r, v_w):
     got = solve_effective_heights(geom, harmonics, times)
     expected = np.array([_reference_effective_heights(geom, harmonics, t) for t in times]).T
     assert np.array_equal(np.array(got), expected)
+
+
+def test_every_root_of_the_balance_residual_lies_in_the_root_window():
+    # a dense sign scan of the residual over [0, d] at several steps of
+    # criterion 6's four setups
+    n_roots = []
+    for geom, v_w in _CRITERION_6:
+        for seed in (0, 1):
+            h = build_harmonics(WaveSpectrumConfig(v_w=v_w, seed=seed))
+            x = np.linspace(0.0, geom.d, 100_001)
+            for t in np.linspace(0.0, 93.0, 8):
+                hs = surface_height(h, t, x)
+                h_rx = surface_height(h, t, geom.d)
+                r = x * (geom.h_r + h_rx - hs) - (geom.d - x) * (geom.h_t - hs)
+                brackets = np.flatnonzero(r[:-1] * r[1:] <= 0)
+                centre, half_width = _root_window(geom, h, t)
+                assert brackets.size >= 1
+                assert np.all(np.abs(0.5 * (x[brackets] + x[brackets + 1]) - centre)
+                              <= half_width + x[1])
+                n_roots.append(brackets.size)
+    # steps with more than one root are among those scanned
+    assert max(n_roots) > 1
+
+
+def test_effective_heights_use_the_one_surface_formula_at_twelve_harmonics():
+    # past 7 harmonics a pairwise sum would move a height by an ulp; the solver's
+    # heights are h_t - surface_height at d1, over the axis and one step at a time
+    geom, v_w = _CRITERION_6[2]
+    h = build_harmonics(WaveSpectrumConfig(v_w=v_w, n_harmonics=12, seed=3))
+    t = np.arange(0.0, 20.05, 0.1)
+    ht, hr, d1 = solve_effective_heights(geom, h, t)
+    hs1 = surface_height(h, t, d1)
+    assert np.array_equal(ht, geom.h_t - hs1)
+    assert np.array_equal(hr, geom.h_r + surface_height(h, t, geom.d) - hs1)
+    for i in range(0, t.size, 20):
+        assert ht[i] == geom.h_t - surface_height(h, float(t[i]), float(d1[i]))
 
 
 def test_simulate_swift_reproducible_and_demeaned():
