@@ -37,7 +37,7 @@ class SeaStateParams:
     gamma_refl: complex = -1.0 + 0.0j
 
     def __post_init__(self):
-        if self.v_w < 0:
+        if not 0 <= self.v_w < math.inf:
             raise ValueError(f"wind speed must be non-negative, got {self.v_w}")
         if abs(self.gamma_refl) > 1 + 1e-12:
             raise ValueError(f"|reflection coefficient| must be <= 1, got {self.gamma_refl}")

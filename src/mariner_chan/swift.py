@@ -38,7 +38,7 @@ class MotionConfig:
             if not 0 <= amp < math.pi / 2:
                 raise ValueError(f"rotation amplitude must be in [0, pi/2), got {amp}")
         for rate in (self.rate_roll, self.rate_pitch, self.rate_yaw):
-            if rate < 0:
+            if not 0 <= rate < math.inf:
                 raise ValueError(f"rotation rate must be non-negative, got {rate}")
 
     @classmethod

@@ -189,6 +189,12 @@ def test_non_finite_parameter_is_rejected(cls, kwargs, field, value):
         cls(**dict(kwargs, **{field: value}))
 
 
+@pytest.mark.parametrize("v_w", [math.nan, math.inf, -math.inf])
+def test_non_finite_wind_speed_is_rejected(v_w):
+    with pytest.raises(ValueError, match="wind speed must be non-negative"):
+        SeaStateParams(v_w=v_w)
+
+
 def _sweep_evaluator(model, v_w):
     """A ``pathloss eval`` model at the CLI's default link and parameters."""
     return cli._pl_evaluator({"model": model, "geometry": cli._GEOMETRY_DEFAULTS,

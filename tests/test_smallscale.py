@@ -2,6 +2,7 @@
 consistency, and fast MLE round trips.
 """
 
+import functools
 import gc
 import math
 import weakref
@@ -561,6 +562,11 @@ def test_parameter_validation():
         Rician(s=-0.1, sigma=0.1)
     with pytest.raises(ValueError):
         Twdp(k=1.0, delta=1.5, sigma=0.1)
+    # non-finite values, which the node count cannot take
+    for bad in (dict(k=math.nan), dict(k=math.inf), dict(delta=math.nan), dict(sigma=math.nan),
+                dict(sigma=math.inf)):
+        with pytest.raises(ValueError, match="invalid TWDP parameters"):
+            Twdp(**dict(dict(k=1.0, delta=0.5, sigma=0.1), **bad))
     with pytest.raises(ValueError):
         Nakagami(mu=0.2, omega=1.0)
     with pytest.raises(ValueError):
@@ -578,33 +584,87 @@ def test_parameter_validation():
 REFERENCE_NODES = 2048
 
 
+@functools.cache
+def _reference_rule():
+    """2048-node Gauss-Legendre nodes and weights on [0, pi], built here so the
+    reference shares no code with the library's phase rule."""
+    nodes, weights = np.polynomial.legendre.leggauss(REFERENCE_NODES)
+    return 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
+
+
+def _reference_logpdf(u, k, delta, sigma):
+    """ln f(u) with the phase integral by the Gauss-Legendre reference, 256 samples at a time."""
+    nodes, weights = _reference_rule()
+    cosx = np.cos(nodes)
+    out = []
+    for v in np.array_split(u, max(1, u.size // 256)):
+        z = (v[:, None] / sigma) * np.sqrt(2.0 * k * (1.0 - delta * cosx))
+        terms = np.log(special.i0e(z)) + z + k * delta * cosx + np.log(weights)
+        with np.errstate(divide="ignore"):
+            out.append(np.log(v) - math.log(math.pi * sigma**2) - v**2 / (2.0 * sigma**2) - k
+                       + special.logsumexp(terms, axis=1))
+    return np.concatenate(out)
+
+
 def _reference_cdf(u, k, delta, sigma):
-    nodes, weights = smallscale._gauss_legendre(REFERENCE_NODES)
+    nodes, weights = _reference_rule()
     nc = 2.0 * k * (1.0 - delta * np.cos(nodes))
     return stats.ncx2.cdf((u[:, None] / sigma) ** 2, 2, nc[None, :]) @ weights / math.pi
+
+
+def _bound_grid(k, delta):
+    """Unit mean-square envelope, amplitudes up to three times its RMS."""
+    return Twdp(k=k, delta=delta, sigma=1.0 / math.sqrt(2.0 * (1.0 + k))), np.linspace(0.0, 3.0, 301)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9, 0.99, 1.0])
 @pytest.mark.parametrize("k", [0.0, 1.0, 10.0, 100.0, 1000.0, 1e4])
 def test_twdp_node_rule_error_bound(k, delta):
-    # unit mean-square envelope, amplitudes up to three times its RMS
-    sigma = 1.0 / math.sqrt(2.0 * (1.0 + k))
-    u = np.linspace(0.0, 3.0, 301)
-    model = Twdp(k=k, delta=delta, sigma=sigma)
-    ref_pdf = np.exp(smallscale._twdp_logpdf_order(u, k, delta, sigma, REFERENCE_NODES))
+    model, u = _bound_grid(k, delta)
+    ref_pdf = np.exp(_reference_logpdf(u, k, delta, model.sigma))
     assert float(np.max(np.abs(model.pdf(u) - ref_pdf))) <= 1e-9
-    assert float(np.max(np.abs(model.cdf(u) - _reference_cdf(u, k, delta, sigma)))) <= 1e-12
+    assert float(np.max(np.abs(model.cdf(u) - _reference_cdf(u, k, delta, model.sigma)))) <= 1e-12
+
+
+# K between the cells above, and Delta near 1, where the rule needs the most nodes
+@pytest.mark.parametrize("delta", [0.2, 0.7, 0.95, 1.0])
+@pytest.mark.parametrize("k", [0.3, 3.0, 30.0, 300.0, 3000.0, 7000.0])
+def test_twdp_node_rule_pdf_bound_between_the_cells(k, delta):
+    model, u = _bound_grid(k, delta)
+    ref_pdf = np.exp(_reference_logpdf(u, k, delta, model.sigma))
+    assert float(np.max(np.abs(model.pdf(u) - ref_pdf))) <= 1e-9
 
 
 def test_twdp_node_rule_grows_with_k_delta():
-    assert smallscale._twdp_order(1e4, 0.0) == 8
-    assert smallscale._twdp_order(10.0, 0.7) == 24
+    assert smallscale._twdp_order(1e4, 0.0) == 4
+    assert smallscale._twdp_order(10.0, 0.7) == 14
     orders = [smallscale._twdp_order(k, 1.0) for k in (0.0, 1.0, 10.0, 100.0, 1000.0, 1e4)]
     assert orders == sorted(orders)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 14, 388, 1024])
+def test_phase_rule_integrates_cosines_below_twice_its_order(n):
+    """The n-node midpoint rule on [0, pi] integrates cos(m*x) exactly, to the
+    rounding of m*x_j, for m < 2n; at m = 2n it aliases to -pi."""
+    nodes = smallscale._phase_nodes(n)
+    m = np.arange(2 * n + 1)
+    rule = math.pi / n * np.sum(np.cos(m[:, None] * nodes[None, :]), axis=1)
+    expected = np.zeros(m.size)
+    expected[0], expected[-1] = math.pi, -math.pi
+    assert np.max(np.abs(rule - expected)) <= 1e-12
+
+
+def test_twdp_fit_makes_no_eigenvalue_solve(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refused)
+    rep = fit_mle("twdp", EnvelopeSamples(sample(Twdp(k=1000.0, delta=1.0, sigma=0.02), 200, seed=2)))
+    assert rep.quad_nodes == smallscale._twdp_order(rep.model.k, rep.model.delta)
+
+
 def _reference_loglik(x, k, delta, sigma):
-    return float(np.sum(smallscale._twdp_logpdf_order(x, k, delta, sigma, REFERENCE_NODES)))
+    return float(np.sum(_reference_logpdf(x, k, delta, sigma)))
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -342,6 +342,13 @@ def test_motion_validation():
         MotionConfig(rate_roll=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["rate_roll", "rate_pitch", "rate_yaw"])
+def test_non_finite_rotation_rate_is_rejected(field, value):
+    with pytest.raises(ValueError, match="rotation rate must be non-negative"):
+        MotionConfig(**{field: value})
+
+
 def test_simulate_validation():
     with pytest.raises(ValueError):
         simulate_swift(REF, WaveSpectrumConfig(v_w=7.7), MotionConfig(),
